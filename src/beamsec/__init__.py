@@ -1,58 +1,3 @@
 """Beam-rate prediction under FGSM attacks, with adversarial-training defense."""
 
-from .attack import AttackConfig, attack_dataset, fgsm, linf_distance
-from .channel import (
-    ChannelRealization,
-    Codebook,
-    Dataset,
-    NormMeta,
-    Path,
-    ScenarioParams,
-    UserGrid,
-    Wall,
-    achievable_rate,
-    best_beam,
-    build_dataset,
-    default_scenario,
-    dft_codebook,
-    downlink_signal,
-    effective_rate_factor,
-    generate_channels,
-    load_dataset,
-    pilot_features,
-    split_dataset,
-    steering_vector,
-)
-from .defense import DefenseConfig, RoundRecord, adversarial_train, evaluate_robustness
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    ExperimentResult,
-    ResultRow,
-    Summary,
-    emit_report,
-    load_config,
-    run_experiment,
-    summarize,
-)
-from .numcore import (
-    AdamState,
-    DenseLayer,
-    GradientBundle,
-    MlpModel,
-    NumericalError,
-    TrainConfig,
-    adam_step,
-    backward,
-    forward,
-    init_adam_state,
-    init_model,
-    input_gradients,
-    load_model,
-    mse_loss,
-    predict,
-    save_model,
-    train,
-)
-
 __version__ = "0.1.0"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 
@@ -13,48 +12,21 @@ from . import numcore
 @dataclass(frozen=True)
 class AttackConfig:
     epsilon: float
-    norm: str = "linf"
-    clip_range: Optional[Tuple[float, float]] = None
 
     def __post_init__(self):
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
-        if self.norm != "linf":
-            raise ValueError(f"unsupported norm: {self.norm!r}")
-        if self.clip_range is not None:
-            lo, hi = self.clip_range
-            if not lo < hi:
-                raise ValueError("clip_range must be (low, high) with low < high")
-
-
-def fgsm(model: numcore.MlpModel, x, y: float, cfg: AttackConfig) -> np.ndarray:
-    """x + epsilon * sign(grad_x loss); sign(0) = 0, gradients taken without dropout."""
-    x = np.asarray(x, dtype=np.float64)
-    grad = numcore.backward(model, x, y).input_grad
-    x_adv = x + cfg.epsilon * np.sign(grad)
-    if cfg.clip_range is not None:
-        np.clip(x_adv, cfg.clip_range[0], cfg.clip_range[1], out=x_adv)
-    return x_adv
 
 
 def attack_dataset(model: numcore.MlpModel, data, cfg: AttackConfig) -> np.ndarray:
-    """Row-wise FGSM against each row's own label; returns the perturbed matrix."""
+    """Row-wise FGSM against each row's own label; returns the perturbed matrix.
+
+    Each row moves by epsilon * sign(grad of its squared error), with
+    sign(0) = 0 and gradients taken without dropout.
+    """
     X = np.asarray(data.features, dtype=np.float64)
     y = np.asarray(data.labels, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ValueError(f"feature matrix must have shape (B, {model.input_dim})")
     grads = numcore.input_gradients(model, X, y)
-    X_adv = X + cfg.epsilon * np.sign(grads)
-    if cfg.clip_range is not None:
-        np.clip(X_adv, cfg.clip_range[0], cfg.clip_range[1], out=X_adv)
-    return X_adv
-
-
-def linf_distance(a, b) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError("vectors must have equal shape")
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a - b)))
+    return X + cfg.epsilon * np.sign(grads)

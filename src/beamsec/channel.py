@@ -11,13 +11,14 @@ from broadside so the steering phase of element m is pi*m*sin(angle).
 
 from __future__ import annotations
 
-import json
 import math
-import struct
-from dataclasses import asdict, dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Optional, Tuple
 
 import numpy as np
+
+from . import config
+from .framing import read_framed, write_framed
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -96,9 +97,6 @@ class ScenarioParams:
     codebook_oversampling: int = 2
     snr_linear: float = 10.0
     noise_variance: float = 1e-13
-    t_tr: float = 2.0
-    t_b: float = 20.0
-    coherence_time_s: Optional[float] = None  # documentation only, never read
     seed: int = 1
 
     def __post_init__(self):
@@ -118,8 +116,6 @@ class ScenarioParams:
             raise ValueError("snr_linear must be nonnegative")
         if self.noise_variance < 0:
             raise ValueError("noise_variance must be nonnegative")
-        if self.t_tr < 0 or self.t_b <= 0 or self.t_tr >= self.t_b:
-            raise ValueError("need 0 <= t_tr < t_b")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -271,13 +267,11 @@ def _channel_tensor(params: ScenarioParams, gains, sin_aod, delays, valid):
     return np.einsum("rl,rlk,rlm->rkm", g, sub_phase, steer)
 
 
-def generate_channels(params: ScenarioParams, user_pos, rng=None) -> ChannelRealization:
+def generate_channels(params: ScenarioParams, user_pos) -> ChannelRealization:
     """Image-method channel for one user position.
 
     LOS plus at most one bounce per wall; per-path gain lambda/(4 pi d) with
-    carrier phase, per-subcarrier phase exp(-j 2 pi k tau B / K). The rng
-    slot exists for stochastic propagation variants; the two-wall image
-    method is deterministic and leaves the stream untouched.
+    carrier phase, per-subcarrier phase exp(-j 2 pi k tau B / K).
     """
     pos = np.asarray(user_pos, dtype=np.float64)
     if pos.shape != (2,):
@@ -337,24 +331,6 @@ def best_beam(h, codebook: Codebook, snr_linear: float) -> Tuple[int, float]:
     rates = np.mean(np.log1p(snr_linear * power), axis=0) / np.log(2.0)
     idx = int(np.argmax(rates))
     return idx, float(rates[idx])
-
-
-def effective_rate_factor(t_tr: float, t_b: float) -> float:
-    """Fraction of the beam coherence block left after beam training."""
-    if t_tr < 0:
-        raise ValueError("training time must be nonnegative")
-    if t_b <= 0 or t_tr >= t_b:
-        raise ValueError("need 0 <= t_tr < t_b")
-    return 1.0 - t_tr / t_b
-
-
-def downlink_signal(h_k, beam, precoder: complex, symbol: complex, noise: complex = 0j) -> complex:
-    """Received baseband sample h_k^T f * c * s + v for one (user, subcarrier)."""
-    h_k = np.asarray(h_k, dtype=np.complex128)
-    f = np.asarray(beam, dtype=np.complex128)
-    if h_k.ndim != 1 or h_k.shape != f.shape:
-        raise ValueError("channel and beam must be equal-length vectors")
-    return complex(h_k @ f * precoder * symbol + noise)
 
 
 def pilot_features(chan: ChannelRealization, params: ScenarioParams, rng) -> np.ndarray:
@@ -446,21 +422,13 @@ class Dataset:
     def num_features(self) -> int:
         return self.features.shape[1]
 
-    def save(self, path) -> None:
-        save_dataset(self, path)
 
-    def to_csv(self, path) -> None:
-        dataset_to_csv(self, path)
-
-
-def build_dataset(params: ScenarioParams, num_instances: int, rng=None) -> Dataset:
+def build_dataset(params: ScenarioParams, num_instances: int) -> Dataset:
     """Sample user positions, simulate channels/pilots, label with best-beam sum rate.
 
     Every random draw for instance i comes from the child stream keyed by
     (params.seed, i), so the result is a pure function of the params and the
-    instance count regardless of how generation might be sharded; the rng
-    slot is accepted for signature symmetry with the other generators and is
-    never consumed. Labels are the per-instance sum over BSs of the best
+    instance count. Labels are the per-instance sum over BSs of the best
     codebook beam's rate, scaled so the dataset maximum lands on 0.9 and the
     minimum on 0.0; features are z-scored per column over the whole set.
     """
@@ -543,19 +511,11 @@ def scenario_to_dict(params: ScenarioParams) -> dict:
     return d
 
 
-def scenario_from_dict(d: dict) -> ScenarioParams:
-    kwargs = dict(d)
-    if "user_grid" in kwargs and isinstance(kwargs["user_grid"], dict):
-        kwargs["user_grid"] = UserGrid(**kwargs["user_grid"])
-    if "bs_positions" in kwargs:
-        kwargs["bs_positions"] = tuple(tuple(float(v) for v in p) for p in kwargs["bs_positions"])
-    if "walls" in kwargs:
-        kwargs["walls"] = tuple(Wall(*[float(v) for v in w]) for w in kwargs["walls"])
-    return ScenarioParams(**kwargs)
+_DATASET_KEYS = ("scenario", "norm_meta", "rows", "cols", "adversarial", "epsilon")
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    """Dataset file: magic, u32-LE header length, JSON header, features then labels (float64 LE)."""
+    """Framed dataset file (BMDS1): JSON header, then features and labels."""
     header = {
         "scenario": scenario_to_dict(ds.scenario),
         "norm_meta": {
@@ -570,44 +530,26 @@ def save_dataset(ds: Dataset, path) -> None:
         "adversarial": bool(ds.adversarial),
         "epsilon": ds.epsilon,
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(np.ascontiguousarray(ds.features, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(ds.labels, dtype="<f8").tobytes())
+    write_framed(path, _MAGIC, header, (ds.features, ds.labels))
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError(f"not a dataset file (bad magic {magic!r})")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        rows, cols = int(header["rows"]), int(header["cols"])
-        features = (
-            np.frombuffer(fh.read(8 * rows * cols), dtype="<f8").reshape(rows, cols).copy()
+    """Read a dataset file; a malformed one raises framing.FormatError."""
+
+    def decode(header, take):
+        features = take((header["rows"], header["cols"]))
+        labels = take((header["rows"],))
+        eps = header["epsilon"]
+        return Dataset(
+            features=features,
+            labels=labels,
+            norm_meta=config.load(NormMeta, header["norm_meta"], "norm_meta"),
+            scenario=config.load(ScenarioParams, header["scenario"], "scenario"),
+            adversarial=bool(header["adversarial"]),
+            epsilon=None if eps is None else float(eps),
         )
-        labels = np.frombuffer(fh.read(8 * rows), dtype="<f8").copy()
-    meta = header["norm_meta"]
-    norm = NormMeta(
-        feature_mean=np.asarray(meta["feature_mean"], dtype=np.float64),
-        feature_std=np.asarray(meta["feature_std"], dtype=np.float64),
-        label_min=float(meta["label_min"]),
-        label_max=float(meta["label_max"]),
-        label_cap=float(meta["label_cap"]),
-    )
-    eps = header.get("epsilon")
-    return Dataset(
-        features=features,
-        labels=labels,
-        norm_meta=norm,
-        scenario=scenario_from_dict(header["scenario"]),
-        adversarial=bool(header.get("adversarial", False)),
-        epsilon=None if eps is None else float(eps),
-    )
+
+    return read_framed(path, _MAGIC, _DATASET_KEYS, decode)
 
 
 def dataset_to_csv(ds: Dataset, path) -> None:

@@ -1,6 +1,7 @@
 """Command-line entry points for dataset generation, training, attacks, and sweeps.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 I/O error or malformed
+artifact file, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ import numpy as np
 
 from . import harness, numcore
 from .attack import AttackConfig, attack_dataset
-from .channel import Dataset, build_dataset, load_dataset
+from .channel import Dataset, build_dataset, dataset_to_csv, load_dataset, save_dataset
+from .config import ConfigError, load as load_fields
 from .defense import adversarial_train, kept_round, round_history_to_csv
-from .harness import ConfigError, load_config
+from .framing import FormatError
+from .harness import load_config
 
 
 def _guarded(fn):
@@ -28,6 +31,9 @@ def _guarded(fn):
         except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(2)
+        except FormatError as exc:
+            click.echo(f"format error: {exc}", err=True)
+            sys.exit(3)
         except OSError as exc:
             click.echo(f"i/o error: {exc}", err=True)
             sys.exit(3)
@@ -59,9 +65,9 @@ def generate(config, seed, instances, out, csv_path):
     params = cfg.scenario if seed is None else replace(cfg.scenario, seed=seed)
     count = instances if instances is not None else cfg.num_instances
     ds = build_dataset(params, count)
-    ds.save(out)
+    save_dataset(ds, out)
     if csv_path:
-        ds.to_csv(csv_path)
+        dataset_to_csv(ds, csv_path)
     click.echo(f"wrote {ds.num_rows} instances x {ds.num_features} features to {out}")
 
 
@@ -102,7 +108,7 @@ def attack(model_path, data, eps, out):
         adversarial=True,
         epsilon=float(eps),
     )
-    adv_ds.save(out)
+    save_dataset(adv_ds, out)
     clean = numcore.mse_loss(numcore.predict(model, ds.features), ds.labels)
     attacked = numcore.mse_loss(numcore.predict(model, x_adv), ds.labels)
     click.echo(f"clean MSE {clean:.6g} -> attacked MSE {attacked:.6g} at eps={eps:g}")
@@ -157,14 +163,10 @@ def run(config, seed, reps, eps, out, fmt):
         overrides["output_dir"] = out
     if eps is not None:
         try:
-            overrides["attack_grid"] = tuple(float(v) for v in eps.split(",") if v)
+            overrides["attack_grid"] = [float(v) for v in eps.split(",") if v]
         except ValueError:
             raise ConfigError(f"--eps must be a comma-separated float list, got {eps!r}")
-    if overrides:
-        try:
-            cfg = replace(cfg, **overrides)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+    cfg = load_fields(harness.ExperimentConfig, overrides, base=cfg)
     result = harness.run_experiment(cfg)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,10 +1,10 @@
-"""Iterative adversarial training and robustness evaluation."""
+"""Iterative adversarial training."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -17,7 +17,6 @@ class DefenseConfig:
     epsilon: float = 0.1
     max_rounds: int = 10
     steady_state_rel_tol: float = 0.01
-    augment_fraction: float = 1.0
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -26,8 +25,6 @@ class DefenseConfig:
             raise ValueError("max_rounds must be at least 1")
         if self.steady_state_rel_tol <= 0:
             raise ValueError("steady_state_rel_tol must be positive")
-        if not 0.0 < self.augment_fraction <= 1.0:
-            raise ValueError("augment_fraction must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -63,10 +60,10 @@ def adversarial_train(
 
     Round 0 trains from scratch on the clean rows exactly like plain train().
     Each later round generates fresh FGSM examples against the current model
-    for a shuffled augment_fraction slice of the base rows, appends them to
-    the growing pool (clean rows are kept), and fine-tunes the current
-    weights. Rounds stop at max_rounds or when the adversarial MSE on a fixed
-    10% subset of the base rows (the probe) improves by less than
+    for every base row, in a freshly shuffled order, appends them to the
+    growing pool (clean rows are kept), and fine-tunes the current weights.
+    Rounds stop at max_rounds or when the adversarial MSE on a fixed 10%
+    subset of the base rows (the probe) improves by less than
     steady_state_rel_tol relative.
 
     Returns the model from the round with the lowest probe adversarial MSE
@@ -93,14 +90,13 @@ def adversarial_train(
 
     pool_X, pool_y = [X], [y]
     rows = n
-    aug_count = math.ceil(def_cfg.augment_fraction * n)
     prev_adv = adv0
     for round_index in range(1, def_cfg.max_rounds):
-        pick = rng.permutation(n)[:aug_count]
+        pick = rng.permutation(n)
         x_adv = attack_dataset(model, _Pool(X[pick], y[pick]), atk)
         pool_X.append(x_adv)
         pool_y.append(y[pick])
-        rows += aug_count
+        rows += n
         pool = _Pool(np.concatenate(pool_X), np.concatenate(pool_y))
         model, _ = numcore.train(model, pool, train_cfg, rng)
         clean, adv = _subset_metrics(model, X[probe], y[probe], atk)
@@ -117,26 +113,6 @@ def kept_round(history: Sequence[RoundRecord]) -> RoundRecord:
     """The round whose model adversarial_train returns: lowest probe
     adversarial MSE, earliest on ties."""
     return min(history, key=lambda rec: rec.adv_mse)
-
-
-def evaluate_robustness(model, test, eps_grid: Sequence[float]) -> Dict[float, float]:
-    """Test MSE under FGSM at each budget; epsilon 0 means the clean MSE."""
-    if len(eps_grid) == 0:
-        raise ValueError("eps_grid must be nonempty")
-    X = np.asarray(test.features, dtype=np.float64)
-    y = np.asarray(test.labels, dtype=np.float64)
-    out: Dict[float, float] = {}
-    for eps in eps_grid:
-        eps = float(eps)
-        if eps < 0:
-            raise ValueError("epsilon must be nonnegative")
-        if eps == 0.0:
-            preds = numcore.predict(model, X)
-        else:
-            x_adv = attack_dataset(model, _Pool(X, y), AttackConfig(epsilon=eps))
-            preds = numcore.predict(model, x_adv)
-        out[eps] = numcore.mse_loss(preds, y)
-    return out
 
 
 def round_history_to_csv(history: Sequence[RoundRecord], path) -> None:

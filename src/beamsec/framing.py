@@ -1,0 +1,72 @@
+"""The framing shared by dataset files and model checkpoints.
+
+A framed file is an ASCII magic, a little-endian u32 header length, a UTF-8
+JSON header, then float64 little-endian arrays back to back and nothing
+after them.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import struct
+
+import numpy as np
+
+
+class FormatError(ValueError):
+    """A file is not a well-formed artifact of the expected kind; names the file."""
+
+
+def write_framed(path, magic: bytes, header: dict, arrays) -> None:
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack("<I", len(blob)) + blob)
+        for array in arrays:
+            fh.write(np.ascontiguousarray(array, dtype="<f8"))
+
+
+def read_framed(path, magic: bytes, keys, decode):
+    """Return decode(header, take) for a framed file whose header has exactly `keys`.
+
+    decode calls take(shape) once per array, in file order; take reads the
+    array straight from the file. The payload must be exactly the arrays
+    taken. Any KeyError, TypeError or ValueError raised while decoding
+    becomes a FormatError naming the file.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def room(nbytes: int) -> None:
+            # checked before reading, so a corrupt length never sizes an allocation
+            if fh.tell() + nbytes > size:
+                raise FormatError(f"{path}: file is shorter than its framing declares")
+
+        def need(count: int) -> bytes:
+            room(count)
+            return fh.read(count)
+
+        def take(shape) -> np.ndarray:
+            if not all(type(d) is int and d >= 0 for d in shape):
+                raise FormatError(f"{path}: bad array shape {shape!r}")
+            room(8 * math.prod(shape))
+            array = np.empty(shape, dtype="<f8")
+            fh.readinto(array)
+            return array
+
+        if need(len(magic)) != magic:
+            raise FormatError(f"{path}: not a {magic.decode()} file (bad magic)")
+        (hlen,) = struct.unpack("<I", need(4))
+        try:
+            header = json.loads(need(hlen).decode("utf-8"))
+            if not isinstance(header, dict) or set(header) != set(keys):
+                raise ValueError(f"header keys must be {sorted(keys)}")
+            result = decode(header, take)
+        except FormatError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: bad header: {type(exc).__name__}: {exc}") from None
+        if fh.tell() != size:
+            raise FormatError(f"{path}: {size - fh.tell()} bytes after the payload")
+    return result

@@ -9,25 +9,23 @@ base_seed + r, so results are reproducible byte for byte.
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from . import numcore
+from . import config, numcore
 from .attack import AttackConfig, attack_dataset
 from .channel import (
     ScenarioParams,
     build_dataset,
     default_scenario,
-    scenario_from_dict,
     scenario_to_dict,
     split_dataset,
 )
+from .config import ConfigError
 from .defense import DefenseConfig, adversarial_train
 
 SC1 = "SC1"
@@ -39,10 +37,6 @@ DEFAULT_ATTACK_GRID = tuple(round(0.01 * i, 2) for i in range(1, 11))
 SUMMARY_HEADER = "scenario,epsilon,mean_mse,std_mse,min_mse,max_mse,n"
 
 _SEED_SALT = 0xB5EC  # keeps harness child streams apart from dataset streams
-
-
-class ConfigError(ValueError):
-    """Invalid or unknown configuration field; message carries the field path."""
 
 
 @dataclass
@@ -116,15 +110,6 @@ class ExperimentResult:
         return ExperimentResult(rows=rows)
 
 
-def _worker_count(repetitions: int) -> int:
-    raw = os.environ.get("BEAMSEC_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"BEAMSEC_THREADS must be an integer, got {raw!r}")
-    return max(1, min(cap, repetitions))
-
-
 def _run_repetition(cfg: ExperimentConfig, repetition: int) -> List[ResultRow]:
     seed = cfg.base_seed + repetition
     params = replace(cfg.scenario, seed=seed)
@@ -142,39 +127,32 @@ def _run_repetition(cfg: ExperimentConfig, repetition: int) -> List[ResultRow]:
     clean_mse = numcore.mse_loss(numcore.predict(model, test_ds.features), test_ds.labels)
     rows.append(ResultRow(SC1, 0.0, repetition, clean_mse, time.perf_counter() - t0))
 
-    for eps in cfg.attack_grid:
-        t0 = time.perf_counter()
-        x_adv = attack_dataset(model, test_ds, AttackConfig(epsilon=float(eps)))
-        mse = numcore.mse_loss(numcore.predict(model, x_adv), test_ds.labels)
-        rows.append(ResultRow(SC2, float(eps), repetition, mse, time.perf_counter() - t0))
+    rows += _attacked_rows(SC2, model, test_ds, cfg.attack_grid, repetition, 0.0)
 
     t0 = time.perf_counter()
     robust, _history = adversarial_train(train_ds, cfg.train, cfg.defense, defense_rng)
     setup = time.perf_counter() - t0
-    for i, eps in enumerate(cfg.attack_grid):
+    rows += _attacked_rows(SC3, robust, test_ds, cfg.attack_grid, repetition, setup)
+    return rows
+
+
+def _attacked_rows(scenario_id, model, test_ds, grid, repetition, setup_s) -> List[ResultRow]:
+    """Test MSE of `model` under FGSM at each budget; setup_s is added to the
+    first row's wall time."""
+    rows = []
+    for i, eps in enumerate(grid):
         t0 = time.perf_counter()
-        x_adv = attack_dataset(robust, test_ds, AttackConfig(epsilon=float(eps)))
-        mse = numcore.mse_loss(numcore.predict(robust, x_adv), test_ds.labels)
-        elapsed = time.perf_counter() - t0 + (setup if i == 0 else 0.0)
-        rows.append(ResultRow(SC3, float(eps), repetition, mse, elapsed))
+        x_adv = attack_dataset(model, test_ds, AttackConfig(epsilon=float(eps)))
+        mse = numcore.mse_loss(numcore.predict(model, x_adv), test_ds.labels)
+        elapsed = time.perf_counter() - t0 + (setup_s if i == 0 else 0.0)
+        rows.append(ResultRow(scenario_id, float(eps), repetition, mse, elapsed))
     return rows
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """All repetitions of SC1/SC2/SC3; deterministic row order and values.
-
-    Repetitions are independent given their seeds; BEAMSEC_THREADS > 1 runs
-    them in a process pool. Rows come back sorted by (scenario, epsilon,
-    repetition) either way.
-    """
-    workers = _worker_count(cfg.repetitions)
-    reps = range(cfg.repetitions)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_repetition, [cfg] * cfg.repetitions, reps))
-    else:
-        chunks = [_run_repetition(cfg, r) for r in reps]
-    rows = [row for chunk in chunks for row in chunk]
+    """All repetitions of SC1/SC2/SC3, run one after another; rows come back
+    sorted by (scenario, epsilon, repetition)."""
+    rows = [row for r in range(cfg.repetitions) for row in _run_repetition(cfg, r)]
     rows.sort(key=lambda r: (r.scenario_id, r.epsilon, r.repetition))
     if any(not np.isfinite(r.mse) for r in rows):
         raise numcore.NumericalError("experiment produced a non-finite MSE")
@@ -317,126 +295,16 @@ def summary_from_json(path) -> Summary:
     return Summary(rows=rows, ratios=ratios)
 
 
-def _coerce(value, kind, path):
-    try:
-        if kind is float:
-            if isinstance(value, bool):
-                raise TypeError
-            return float(value)
-        if kind is int:
-            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-                raise TypeError
-            return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
-    return value
-
-
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build a validated config from a plain JSON document; all fields optional."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    known = {
-        "scenario",
-        "train",
-        "defense",
-        "attack_grid",
-        "repetitions",
-        "base_seed",
-        "num_instances",
-        "train_fraction",
-        "output_dir",
-    }
-    for key in doc:
-        if key not in known:
-            raise ConfigError(f"unknown config field: {key}")
-
-    scenario = default_scenario()
-    if "scenario" in doc:
-        section = doc["scenario"]
-        if not isinstance(section, dict):
-            raise ConfigError("scenario: expected an object")
-        base = scenario_to_dict(scenario)
-        for key in section:
-            if key not in base:
-                raise ConfigError(f"unknown config field: scenario.{key}")
-        base.update(section)
-        try:
-            scenario = scenario_from_dict(base)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"scenario: {exc}")
-
-    train_cfg = numcore.TrainConfig()
-    if "train" in doc:
-        section = doc["train"]
-        if not isinstance(section, dict):
-            raise ConfigError("train: expected an object")
-        fields = set(numcore.TrainConfig.__dataclass_fields__)
-        for key in section:
-            if key not in fields:
-                raise ConfigError(f"unknown config field: train.{key}")
-        try:
-            train_cfg = numcore.TrainConfig(**section)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"train: {exc}")
-
-    defense_cfg = DefenseConfig()
-    if "defense" in doc:
-        section = doc["defense"]
-        if not isinstance(section, dict):
-            raise ConfigError("defense: expected an object")
-        fields = set(DefenseConfig.__dataclass_fields__)
-        for key in section:
-            if key not in fields:
-                raise ConfigError(f"unknown config field: defense.{key}")
-        try:
-            defense_cfg = DefenseConfig(**section)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"defense: {exc}")
-
-    grid = DEFAULT_ATTACK_GRID
-    if "attack_grid" in doc:
-        raw = doc["attack_grid"]
-        if not isinstance(raw, (list, tuple)) or not raw:
-            raise ConfigError("attack_grid: expected a nonempty list of budgets")
-        grid = tuple(_coerce(v, float, f"attack_grid[{i}]") for i, v in enumerate(raw))
-
-    kwargs = dict(
-        scenario=scenario,
-        train=train_cfg,
-        defense=defense_cfg,
-        attack_grid=grid,
-    )
-    for name, kind in (
-        ("repetitions", int),
-        ("base_seed", int),
-        ("num_instances", int),
-        ("train_fraction", float),
-    ):
-        if name in doc:
-            kwargs[name] = _coerce(doc[name], kind, name)
-    if "output_dir" in doc:
-        if not isinstance(doc["output_dir"], str):
-            raise ConfigError("output_dir: expected a string")
-        kwargs["output_dir"] = doc["output_dir"]
-    try:
-        return ExperimentConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return config.load(ExperimentConfig, doc)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "scenario": scenario_to_dict(cfg.scenario),
-        "train": {k: getattr(cfg.train, k) for k in numcore.TrainConfig.__dataclass_fields__},
-        "defense": {k: getattr(cfg.defense, k) for k in DefenseConfig.__dataclass_fields__},
-        "attack_grid": list(cfg.attack_grid),
-        "repetitions": cfg.repetitions,
-        "base_seed": cfg.base_seed,
-        "num_instances": cfg.num_instances,
-        "train_fraction": cfg.train_fraction,
-        "output_dir": cfg.output_dir,
-    }
+    doc = asdict(cfg)
+    doc["scenario"] = scenario_to_dict(cfg.scenario)
+    doc["attack_grid"] = list(cfg.attack_grid)
+    return doc
 
 
 def load_config(path=None) -> ExperimentConfig:

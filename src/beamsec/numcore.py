@@ -8,18 +8,15 @@ what the white-box attack code consumes.
 
 from __future__ import annotations
 
-import json
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .framing import read_framed, write_framed
+
 RELU = "relu"
 TANH = "tanh"
-
-TRAIN = "train"
-INFER = "infer"
 
 _MAGIC = b"BMMLP1"
 
@@ -97,14 +94,6 @@ class TrainConfig:
 
 
 @dataclass
-class GradientBundle:
-    """Exact gradients of the squared error at one sample."""
-
-    param_grads: List[Tuple[np.ndarray, np.ndarray]]  # per layer (dW, db)
-    input_grad: np.ndarray  # (input_dim,)
-
-
-@dataclass
 class AdamState:
     """First/second moment accumulators, one (m_w, v_w, m_b, v_b) per layer."""
 
@@ -152,10 +141,12 @@ def copy_model(model: MlpModel) -> MlpModel:
     return MlpModel(layers=layers, input_dim=model.input_dim, rng_seed=model.rng_seed)
 
 
-def _forward_batch(model, X, train=False, rng=None):
-    """Run the stack on a (B, input_dim) batch; returns (preds (B,), caches)."""
-    if train and rng is None:
-        raise ValueError("train-mode forward needs an rng for dropout masks")
+def _forward_batch(model, X, rng=None):
+    """Run the stack on a (B, input_dim) batch; returns (preds (B,), caches).
+
+    With an rng the pass is in train mode and draws dropout masks from it;
+    without one it is the inference pass.
+    """
     out = X
     caches = []
     for layer in model.layers:
@@ -164,7 +155,7 @@ def _forward_batch(model, X, train=False, rng=None):
             act = np.maximum(pre, 0.0)
         else:
             act = np.tanh(pre)
-        if train and layer.dropout_ratio > 0.0:
+        if rng is not None and layer.dropout_ratio > 0.0:
             keep = 1.0 - layer.dropout_ratio
             # inverted dropout: scale at train time so inference needs no rescale
             mask = (rng.random(act.shape) < keep) / keep
@@ -198,23 +189,12 @@ def _backward_batch(model, caches, dout, need_param_grads=True, need_input_grads
     return param_grads, input_grad
 
 
-def forward(model: MlpModel, x, mode: str = INFER, rng=None) -> float:
-    """Evaluate the network on one input vector; output lies in (-1, 1)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.input_dim,):
-        raise ValueError(f"input must have shape ({model.input_dim},)")
-    if mode not in (TRAIN, INFER):
-        raise ValueError(f"unknown mode: {mode!r}")
-    preds, _ = _forward_batch(model, x[None, :], train=(mode == TRAIN), rng=rng)
-    return float(preds[0])
-
-
 def predict(model: MlpModel, X) -> np.ndarray:
     """Inference-mode predictions for a (B, input_dim) feature matrix."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ValueError(f"feature matrix must have shape (B, {model.input_dim})")
-    preds, _ = _forward_batch(model, X, train=False)
+    preds, _ = _forward_batch(model, X)
     return preds
 
 
@@ -229,20 +209,6 @@ def mse_loss(pred, target) -> float:
     return float(np.mean(diff * diff))
 
 
-def backward(model: MlpModel, x, y: float) -> GradientBundle:
-    """Exact gradients of (forward(x) - y)^2 wrt every parameter and the input.
-
-    Evaluated in Infer mode (no dropout), which is also the attack contract.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.input_dim,):
-        raise ValueError(f"input must have shape ({model.input_dim},)")
-    preds, caches = _forward_batch(model, x[None, :], train=False)
-    dout = 2.0 * (preds - float(y))
-    grads, dx = _backward_batch(model, caches, dout, need_param_grads=True, need_input_grads=True)
-    return GradientBundle(param_grads=grads, input_grad=dx[0])
-
-
 def input_gradients(model: MlpModel, X, y) -> np.ndarray:
     """Per-row gradients of each row's own squared error wrt that row's features."""
     X = np.asarray(X, dtype=np.float64)
@@ -251,7 +217,7 @@ def input_gradients(model: MlpModel, X, y) -> np.ndarray:
         raise ValueError(f"feature matrix must have shape (B, {model.input_dim})")
     if y.shape != (X.shape[0],):
         raise ValueError("label vector length must match feature rows")
-    preds, caches = _forward_batch(model, X, train=False)
+    preds, caches = _forward_batch(model, X)
     dout = 2.0 * (preds - y)
     _, dX = _backward_batch(model, caches, dout, need_param_grads=False, need_input_grads=True)
     return dX
@@ -335,7 +301,7 @@ def train(model: MlpModel, data, cfg: TrainConfig, rng) -> Tuple[MlpModel, List[
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             xb, yb = X[idx], y[idx]
-            preds, caches = _forward_batch(model, xb, train=True, rng=rng)
+            preds, caches = _forward_batch(model, xb, rng)
             err = preds - yb
             losses.append(float(np.mean(err * err)))
             dout = 2.0 * err / idx.size
@@ -347,8 +313,11 @@ def train(model: MlpModel, data, cfg: TrainConfig, rng) -> Tuple[MlpModel, List[
     return model, history
 
 
+_MODEL_KEYS = ("input_dim", "seed", "layers")
+
+
 def save_model(model: MlpModel, path) -> None:
-    """Checkpoint: magic, u32-LE header length, JSON header, float64-LE params in layer order."""
+    """Framed checkpoint (BMMLP1): JSON header, then each layer's weights and bias."""
     header = {
         "input_dim": model.input_dim,
         "seed": model.rng_seed,
@@ -362,29 +331,18 @@ def save_model(model: MlpModel, path) -> None:
             for l in model.layers
         ],
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for layer in model.layers:
-            fh.write(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
+    write_framed(path, _MAGIC, header, [a for l in model.layers for a in (l.weights, l.bias)])
 
 
 def load_model(path) -> MlpModel:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError(f"not a model checkpoint (bad magic {magic!r})")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+    """Read a checkpoint; a malformed one raises framing.FormatError."""
+
+    def decode(header, take):
         layers = []
         for entry in header["layers"]:
-            rows, cols = int(entry["out_dim"]), int(entry["in_dim"])
-            weights = np.frombuffer(fh.read(8 * rows * cols), dtype="<f8").reshape(rows, cols).copy()
-            bias = np.frombuffer(fh.read(8 * rows), dtype="<f8").copy()
-            layers.append(
-                DenseLayer(weights, bias, str(entry["activation"]), float(entry["dropout_ratio"]))
-            )
-    return MlpModel(layers=layers, input_dim=int(header["input_dim"]), rng_seed=int(header["seed"]))
+            weights = take((entry["out_dim"], entry["in_dim"]))
+            bias = take((entry["out_dim"],))
+            layers.append(DenseLayer(weights, bias, entry["activation"], entry["dropout_ratio"]))
+        return MlpModel(layers=layers, input_dim=header["input_dim"], rng_seed=header["seed"])
+
+    return read_framed(path, _MAGIC, _MODEL_KEYS, decode)

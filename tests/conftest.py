@@ -1,4 +1,5 @@
-"""Shared fixtures: a fast small scenario and the full default experiment run.
+"""Shared fixtures: a fast small scenario, the seed-1 default-scenario model
+and the full default experiment run.
 
 The default run is executed once per session through the real CLI and shared
 by every test that needs 20-repetition statistics, so the expensive sweep
@@ -53,6 +54,22 @@ def tiny_trained():
 
 
 @pytest.fixture(scope="session")
+def default_model():
+    """Criterion 2's model: default scenario, seed 1, 12,500 instances split
+    80/20 and trained once; build_s is the time the dataset build, split and
+    training took."""
+    t0 = time.perf_counter()
+    ds = channel.build_dataset(channel.default_scenario(seed=1), 12500)
+    rng = np.random.default_rng(1)
+    train_ds, test_ds = channel.split_dataset(ds, 0.8, rng)
+    model = numcore.init_model(train_ds.num_features, int(rng.integers(0, 2**63)))
+    model, _ = numcore.train(model, train_ds, numcore.TrainConfig(), rng)
+    return SimpleNamespace(
+        model=model, train=train_ds, test=test_ds, build_s=time.perf_counter() - t0
+    )
+
+
+@pytest.fixture(scope="session")
 def default_run(tmp_path_factory):
     """Full default scenario sweep (20 reps, SC1-SC3) through the CLI, once."""
     out = tmp_path_factory.mktemp("default_run")
@@ -74,3 +91,11 @@ def load_results_csv(path):
             sc, eps, rep, mse = line.strip().split(",")
             rows.append((sc, float(eps), int(rep), float(mse)))
     return rows
+
+
+def row_gradients(model, x, y):
+    """Gradients of (f(x) - y)^2 at one input row, without dropout, through the
+    batched passes that train() runs: (per-layer (dW, db) list, input grad)."""
+    preds, caches = numcore._forward_batch(model, np.asarray(x, dtype=np.float64)[None, :])
+    grads, dx = numcore._backward_batch(model, caches, 2.0 * (preds - y), need_input_grads=True)
+    return grads, dx[0]

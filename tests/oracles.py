@@ -15,7 +15,7 @@ from beamsec import numcore
 
 
 def squared_error(model, x, y) -> float:
-    pred = numcore.forward(model, x, mode=numcore.INFER)
+    pred = numcore.predict(model, np.asarray(x, dtype=np.float64)[None, :])[0]
     return (pred - float(y)) ** 2
 
 

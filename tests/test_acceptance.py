@@ -17,7 +17,7 @@ from dataclasses import replace
 import oracles
 from beamsec import channel, cli, numcore
 from beamsec.attack import AttackConfig, attack_dataset
-from conftest import load_results_csv
+from conftest import load_results_csv, row_gradients
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str) -> None:
@@ -87,10 +87,10 @@ def test_criterion_1_gradients_match_finite_differences():
             continue
         checked += 1
         y = float(rng.uniform(-0.9, 0.9))
-        bundle = numcore.backward(model, x, y)
+        param_grads, input_grad = row_gradients(model, x, y)
         fd_params, fd_input = oracles.fd_gradients(model, x, y, h=1e-5)
-        ok_here = oracles.grads_close(bundle.input_grad, fd_input)
-        for (dw, db), (fdw, fdb) in zip(bundle.param_grads, fd_params):
+        ok_here = oracles.grads_close(input_grad, fd_input)
+        for (dw, db), (fdw, fdb) in zip(param_grads, fd_params):
             ok_here = ok_here and oracles.grads_close(dw, fdw) and oracles.grads_close(db, fdb)
             worst = max(worst, float(np.max(np.abs(dw - fdw))), float(np.max(np.abs(db - fdb))))
         assert ok_here
@@ -105,19 +105,16 @@ def test_criterion_1_gradients_match_finite_differences():
     assert ok
 
 
-def test_criterion_2_clean_test_accuracy():
+def test_criterion_2_clean_test_accuracy(default_model):
     """Default scenario, seed 1: train once and demand low test MSE plus a
-    strong prediction/label correlation."""
+    strong prediction/label correlation. The time bound covers the shared
+    fixture's dataset build, split and training plus the prediction here."""
     t0 = time.perf_counter()
-    ds = channel.build_dataset(channel.default_scenario(seed=1), 12500)
-    rng = np.random.default_rng(1)
-    train_ds, test_ds = channel.split_dataset(ds, 0.8, rng)
-    model = numcore.init_model(train_ds.num_features, int(rng.integers(0, 2**63)))
-    model, _ = numcore.train(model, train_ds, numcore.TrainConfig(), rng)
-    preds = numcore.predict(model, test_ds.features)
+    test_ds = default_model.test
+    preds = numcore.predict(default_model.model, test_ds.features)
     mse = numcore.mse_loss(preds, test_ds.labels)
     corr = oracles.pearson(preds, test_ds.labels)
-    elapsed = time.perf_counter() - t0
+    elapsed = default_model.build_s + time.perf_counter() - t0
     ok = mse <= 1e-3 and corr >= 0.95 and elapsed < 120.0
     _verdict(
         2,

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -20,15 +22,16 @@ from beamsec.channel import (
     best_beam,
     build_dataset,
     default_scenario,
+    dataset_to_csv,
     dft_codebook,
-    downlink_signal,
-    effective_rate_factor,
     generate_channels,
     load_dataset,
     pilot_features,
+    save_dataset,
     split_dataset,
     steering_vector,
 )
+from beamsec.framing import FormatError
 
 
 def los_only(params: ScenarioParams) -> ScenarioParams:
@@ -179,12 +182,6 @@ def test_generate_channels_rejects_bad_positions(tiny_scenario):
         generate_channels(tiny_scenario, (1.0, 2.0, 3.0))
 
 
-def test_generate_channels_ignores_rng_slot(tiny_scenario):
-    a = generate_channels(tiny_scenario, (2.0, 0.5))
-    b = generate_channels(tiny_scenario, (2.0, 0.5), rng=np.random.default_rng(0))
-    assert np.array_equal(a.h, b.h)
-
-
 # -------------------------------------------------------------------- rates
 
 
@@ -250,35 +247,6 @@ def test_best_beam_prefers_matched_steering():
         h = np.conj(cb.vectors[p])[None, :].repeat(4, axis=0) * 16
         idx, _ = best_beam(h, cb, 10.0)
         assert idx == p
-
-
-# ------------------------------------------------------- effective rate etc.
-
-
-def test_effective_rate_factor():
-    assert effective_rate_factor(0.0, 10.0) == 1.0
-    assert effective_rate_factor(5.0, 10.0) == 0.5
-    with pytest.raises(ValueError):
-        effective_rate_factor(10.0, 10.0)
-    with pytest.raises(ValueError):
-        effective_rate_factor(-1.0, 10.0)
-
-
-def test_downlink_signal_values():
-    assert downlink_signal([1.0 + 0j], [1.0 + 0j], 1.0, 0.0) == 0j
-    assert downlink_signal([1.0 + 0j], [1.0 + 0j], 1.0, 1.0 + 0j) == 1.0 + 0j
-    with pytest.raises(ValueError):
-        downlink_signal([1.0 + 0j, 0j], [1.0 + 0j], 1.0, 1.0)
-
-
-def test_downlink_signal_power_over_unit_symbols():
-    rng = np.random.default_rng(12)
-    h = rng.normal(size=6) + 1j * rng.normal(size=6)
-    f = steering_vector(0.3, 6)
-    target = abs(np.dot(h, f)) ** 2
-    for phi in rng.uniform(0, 2 * math.pi, size=10_000):
-        y = downlink_signal(h, f, 1.0, np.exp(1j * phi))
-        assert abs(y) ** 2 == pytest.approx(target, rel=1e-12)
 
 
 # ------------------------------------------------------------ pilot features
@@ -347,10 +315,8 @@ def test_build_dataset_standardizes_columns(tiny_scenario):
 def test_build_dataset_deterministic_and_rng_free(tiny_scenario):
     a = build_dataset(tiny_scenario, 64)
     b = build_dataset(tiny_scenario, 64)
-    c = build_dataset(tiny_scenario, 64, rng=np.random.default_rng(123))
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
-    assert np.array_equal(a.features, c.features)
     d = build_dataset(replace(tiny_scenario, seed=tiny_scenario.seed + 1), 64)
     assert not np.array_equal(a.features, d.features)
 
@@ -382,7 +348,7 @@ def test_split_is_rng_deterministic(tiny_scenario):
 def test_dataset_file_round_trip(tmp_path, tiny_scenario):
     ds = build_dataset(tiny_scenario, 50)
     path = tmp_path / "data.bin"
-    ds.save(path)
+    save_dataset(ds, path)
     back = load_dataset(path)
     assert np.array_equal(back.features, ds.features)
     assert np.array_equal(back.labels, ds.labels)
@@ -393,7 +359,7 @@ def test_dataset_file_round_trip(tmp_path, tiny_scenario):
 
     # identical params produce identical bytes on disk
     path2 = tmp_path / "data2.bin"
-    build_dataset(tiny_scenario, 50).save(path2)
+    save_dataset(build_dataset(tiny_scenario, 50), path2)
     assert path.read_bytes() == path2.read_bytes()
 
     junk = tmp_path / "junk.bin"
@@ -402,10 +368,25 @@ def test_dataset_file_round_trip(tmp_path, tiny_scenario):
         load_dataset(junk)
 
 
+def test_dataset_header_with_unknown_scenario_key_is_rejected(tmp_path, tiny_scenario):
+    """A scenario key that ScenarioParams does not define, such as t_tr in
+    files written before it was removed, makes the header malformed."""
+    path = tmp_path / "data.bin"
+    save_dataset(build_dataset(tiny_scenario, 5), path)
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[5:9])
+    header = json.loads(blob[9 : 9 + hlen])
+    header["scenario"]["t_tr"] = 2.0
+    new = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(blob[:5] + struct.pack("<I", len(new)) + new + blob[9 + hlen :])
+    with pytest.raises(FormatError, match=r"unknown config field: scenario\.t_tr"):
+        load_dataset(path)
+
+
 def test_dataset_csv_export(tmp_path, tiny_scenario):
     ds = build_dataset(tiny_scenario, 10)
     path = tmp_path / "data.csv"
-    ds.to_csv(path)
+    dataset_to_csv(ds, path)
     lines = path.read_text().splitlines()
     assert lines[0].split(",")[:2] == ["f0", "f1"]
     assert lines[0].split(",")[-1] == "label"
@@ -431,7 +412,5 @@ def test_scenario_params_validation():
         replace(default_scenario(), max_reflections=2)
     with pytest.raises(ValueError):
         replace(default_scenario(), num_antennas=0)
-    with pytest.raises(ValueError):
-        replace(default_scenario(), t_tr=30.0)
     with pytest.raises(ValueError):
         Wall(1.0, 1.0, 1.0, 1.0)

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+import re
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from beamsec import cli, numcore
-from beamsec.channel import Dataset, build_dataset, load_dataset
+from beamsec import cli, harness, numcore
+from beamsec.channel import Dataset, build_dataset, load_dataset, save_dataset
 from beamsec.defense import DefenseConfig
 from beamsec.harness import ExperimentConfig, config_to_dict
 
@@ -158,6 +158,49 @@ def test_negative_instances_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ('{"train": {"learning_rate": NaN}}', "train.learning_rate"),
+        ('{"attack_grid": [Infinity]}', "attack_grid[0]"),
+    ],
+    ids=["nan_learning_rate", "infinite_budget"],
+)
+def test_non_finite_config_exits_2(runner, tmp_path, monkeypatch, doc, field):
+    def no_dataset(*args, **kwargs):
+        raise AssertionError("a dataset was built from a rejected config")
+
+    monkeypatch.setattr(harness, "build_dataset", no_dataset)
+    path = tmp_path / "cfg.json"
+    path.write_text(doc)
+    result = runner.invoke(cli.main, ["run", "--config", str(path), "--out", str(tmp_path / "s")])
+    assert result.exit_code == 2
+    assert "config error" in result.output and field in result.output
+
+
+@pytest.mark.parametrize(
+    "case", ["dataset_cut_by_5_bytes", "dataset_plus_8_bytes", "model_as_data", "dataset_as_model"]
+)
+def test_malformed_artifact_exits_3(runner, tmp_path, case):
+    data, model, bad = tmp_path / "data.bin", tmp_path / "model.bin", tmp_path / "bad.bin"
+    save_dataset(build_dataset(make_tiny_scenario(seed=5), 50), data)
+    numcore.save_model(numcore.init_model(8, 0), model)
+    blob = data.read_bytes()
+    bad.write_bytes(blob[:-5] if case == "dataset_cut_by_5_bytes" else blob + bytes(8))
+    out = str(tmp_path / "out.bin")
+    argv = {
+        "dataset_cut_by_5_bytes": ["train", "--data", str(bad), "--out", out],
+        "dataset_plus_8_bytes": ["train", "--data", str(bad), "--out", out],
+        "model_as_data": ["train", "--data", str(model), "--out", out],
+        "dataset_as_model": [
+            "attack", "--model", str(data), "--data", str(data), "--eps", "0.1", "--out", out,
+        ],
+    }[case]
+    result = runner.invoke(cli.main, argv)
+    assert result.exit_code == 3, result.output
+    assert re.search(r"format error: .*(bad|data|model)\.bin", result.output)
+
+
 def test_missing_results_file_exits_3(runner, tmp_path):
     result = runner.invoke(
         cli.main,
@@ -178,7 +221,7 @@ def test_numerical_failure_exits_4(runner, tmp_path, tiny_config_path):
         scenario=base.scenario,
     )
     path = tmp_path / "poisoned.bin"
-    poisoned.save(path)
+    save_dataset(poisoned, path)
     result = runner.invoke(
         cli.main,
         [

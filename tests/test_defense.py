@@ -4,18 +4,12 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import math
-
 import numpy as np
 import pytest
 
 from beamsec import channel, numcore
-from beamsec.defense import (
-    DefenseConfig,
-    adversarial_train,
-    evaluate_robustness,
-    round_history_to_csv,
-)
+from beamsec.attack import AttackConfig, attack_dataset
+from beamsec.defense import DefenseConfig, adversarial_train, round_history_to_csv
 
 
 FAST = numcore.TrainConfig(epochs=2)
@@ -34,12 +28,8 @@ def test_defense_config_validation():
         DefenseConfig(max_rounds=0)
     with pytest.raises(ValueError):
         DefenseConfig(steady_state_rel_tol=0.0)
-    with pytest.raises(ValueError):
-        DefenseConfig(augment_fraction=0.0)
-    with pytest.raises(ValueError):
-        DefenseConfig(augment_fraction=1.5)
     cfg = DefenseConfig()
-    assert (cfg.max_rounds, cfg.steady_state_rel_tol, cfg.augment_fraction) == (10, 0.01, 1.0)
+    assert (cfg.max_rounds, cfg.steady_state_rel_tol) == (10, 0.01)
 
 
 def test_single_round_equals_plain_training(tiny_scenario):
@@ -63,14 +53,11 @@ def test_single_round_equals_plain_training(tiny_scenario):
 def test_augmentation_row_schedule(tiny_scenario):
     train_ds, _ = small_data(tiny_scenario)
     n = train_ds.num_rows
-    for fraction in (1.0, 0.5, 0.3):
-        cfg = DefenseConfig(epsilon=0.1, max_rounds=4, augment_fraction=fraction,
-                            steady_state_rel_tol=1e-12)
-        _, history = adversarial_train(train_ds, FAST, cfg, np.random.default_rng(5))
-        step = math.ceil(fraction * n)
-        for rec in history:
-            assert rec.dataset_rows == n + rec.round_index * step
-        assert len(history) <= cfg.max_rounds
+    cfg = DefenseConfig(epsilon=0.1, max_rounds=4, steady_state_rel_tol=1e-12)
+    _, history = adversarial_train(train_ds, FAST, cfg, np.random.default_rng(5))
+    for rec in history:
+        assert rec.dataset_rows == n + rec.round_index * n  # every base row, each round
+    assert len(history) <= cfg.max_rounds
 
 
 def test_round_indices_and_termination(tiny_scenario):
@@ -133,20 +120,22 @@ def test_adversarial_train_rejects_empty():
 
 
 def test_evaluate_robustness_table(tiny_trained):
+    """Test MSE under FGSM over a budget grid; budget 0 is the clean MSE."""
+    model, test = tiny_trained.model, tiny_trained.test
     grid = [0.0, 0.02, 0.1]
-    table = evaluate_robustness(tiny_trained.model, tiny_trained.test, grid)
-    assert set(table) == set(grid)
-    clean = numcore.mse_loss(
-        numcore.predict(tiny_trained.model, tiny_trained.test.features),
-        tiny_trained.test.labels,
-    )
+    table = {
+        eps: numcore.mse_loss(
+            numcore.predict(model, attack_dataset(model, test, AttackConfig(epsilon=eps))),
+            test.labels,
+        )
+        for eps in grid
+    }
+    clean = numcore.mse_loss(numcore.predict(model, test.features), test.labels)
     assert table[0.0] == clean
     for eps, mse in table.items():
         assert np.isfinite(mse) and mse >= 0.0
     with pytest.raises(ValueError):
-        evaluate_robustness(tiny_trained.model, tiny_trained.test, [])
-    with pytest.raises(ValueError):
-        evaluate_robustness(tiny_trained.model, tiny_trained.test, [-0.1])
+        AttackConfig(epsilon=-0.1)
 
 
 def test_defended_curve_beats_undefended(tiny_scenario):
@@ -163,11 +152,13 @@ def test_defended_curve_beats_undefended(tiny_scenario):
     defended, _ = adversarial_train(
         train_ds, numcore.TrainConfig(), DefenseConfig(epsilon=0.1), np.random.default_rng(2)
     )
-    grid = [0.02, 0.06, 0.1]
-    base = evaluate_robustness(plain, test_ds, grid)
-    hard = evaluate_robustness(defended, test_ds, grid)
-    for eps in grid:
-        assert hard[eps] <= base[eps]
+    for eps in [0.02, 0.06, 0.1]:
+        atk = AttackConfig(epsilon=eps)
+        base, hard = (
+            numcore.mse_loss(numcore.predict(m, attack_dataset(m, test_ds, atk)), test_ds.labels)
+            for m in (plain, defended)
+        )
+        assert hard <= base
 
 
 def test_round_history_csv(tmp_path, tiny_scenario):

@@ -8,7 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from beamsec import harness, numcore
+from beamsec import numcore
+from beamsec.attack import AttackConfig, attack_dataset
 from beamsec.channel import UserGrid, Wall
 from beamsec.defense import DefenseConfig
 from beamsec.harness import (
@@ -79,31 +80,17 @@ def test_run_experiment_is_deterministic(tiny_scenario, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_worker_pool_matches_serial(tiny_scenario, monkeypatch):
-    cfg = tiny_config(tiny_scenario, repetitions=2)
-    serial = run_experiment(cfg)
-    monkeypatch.setenv("BEAMSEC_THREADS", "2")
-    pooled = run_experiment(cfg)
-    key = lambda r: (r.scenario_id, r.epsilon, r.repetition, r.mse)
-    assert [key(r) for r in serial.rows] == [key(r) for r in pooled.rows]
-
-
-def test_worker_count_env_validation(monkeypatch):
-    monkeypatch.setenv("BEAMSEC_THREADS", "not-a-number")
-    with pytest.raises(ConfigError):
-        harness._worker_count(4)
-    monkeypatch.setenv("BEAMSEC_THREADS", "8")
-    assert harness._worker_count(3) == 3
-    monkeypatch.setenv("BEAMSEC_THREADS", "2")
-    assert harness._worker_count(10) == 2
-
-
 def test_sc2_converges_to_sc1_as_epsilon_vanishes(tiny_trained):
     """The attacked MSE approaches the clean MSE linearly as the budget
     shrinks; probed at 1e-6 and 1e-8."""
-    from beamsec.defense import evaluate_robustness
-
-    table = evaluate_robustness(tiny_trained.model, tiny_trained.test, [0.0, 1e-8, 1e-6])
+    model, test = tiny_trained.model, tiny_trained.test
+    table = {
+        eps: numcore.mse_loss(
+            numcore.predict(model, attack_dataset(model, test, AttackConfig(epsilon=eps))),
+            test.labels,
+        )
+        for eps in (0.0, 1e-8, 1e-6)
+    }
     clean = table[0.0]
     rel6 = abs(table[1e-6] - clean) / clean
     rel8 = abs(table[1e-8] - clean) / clean
@@ -255,6 +242,10 @@ def test_config_type_errors_name_the_field():
         config_from_dict({"train_fraction": "most"})
     with pytest.raises(ConfigError, match=r"attack_grid\[1\]"):
         config_from_dict({"attack_grid": [0.1, "x"]})
+    with pytest.raises(ConfigError, match=r"attack_grid\[0\]"):
+        config_from_dict({"attack_grid": [float("inf")]})
+    with pytest.raises(ConfigError, match=r"scenario\.snr_linear"):
+        config_from_dict({"scenario": {"snr_linear": float("nan")}})
     with pytest.raises(ConfigError):
         config_from_dict({"attack_grid": []})
     with pytest.raises(ConfigError):

@@ -9,13 +9,8 @@ import pytest
 
 import oracles
 from beamsec import numcore
-from beamsec.numcore import (
-    INFER,
-    TRAIN,
-    DenseLayer,
-    MlpModel,
-    TrainConfig,
-)
+from beamsec.numcore import DenseLayer, MlpModel, TrainConfig
+from conftest import row_gradients
 
 
 class Rows:
@@ -90,13 +85,13 @@ def test_forward_zero_weights_gives_zero():
     model = numcore.init_model(5, 1, hidden_dims=(4,), dropout_ratio=0.0)
     for layer in model.layers:
         layer.weights[:] = 0.0
-    assert numcore.forward(model, np.ones(5)) == 0.0
+    assert numcore.predict(model, np.ones((1, 5)))[0] == 0.0
 
 
 def test_forward_single_tanh_layer_closed_form():
     layer = DenseLayer(np.array([[2.0]]), np.zeros(1), "tanh")
     model = MlpModel(layers=[layer], input_dim=1, rng_seed=0)
-    assert numcore.forward(model, [0.5]) == pytest.approx(math.tanh(1.0), abs=1e-12)
+    assert numcore.predict(model, [[0.5]])[0] == pytest.approx(math.tanh(1.0), abs=1e-12)
 
 
 def test_forward_relu_kills_negative_units():
@@ -104,7 +99,7 @@ def test_forward_relu_kills_negative_units():
     hidden = DenseLayer(np.array([[1.0], [-1.0]]), np.zeros(2), "relu")
     head = DenseLayer(np.array([[1.0, 1.0]]), np.zeros(1), "tanh")
     model = MlpModel(layers=[hidden, head], input_dim=1, rng_seed=0)
-    assert numcore.forward(model, [0.3]) == pytest.approx(math.tanh(0.3), abs=1e-12)
+    assert numcore.predict(model, [[0.3]])[0] == pytest.approx(math.tanh(0.3), abs=1e-12)
 
 
 def test_forward_output_in_open_unit_interval():
@@ -112,35 +107,32 @@ def test_forward_output_in_open_unit_interval():
     for _ in range(50):
         model = random_small_model(rng)
         x = rng.normal(size=model.input_dim) * 10.0
-        out = numcore.forward(model, x)
+        out = numcore.predict(model, x[None, :])[0]
         assert -1.0 < out < 1.0
 
 
 def test_forward_validates_input():
     model = numcore.init_model(3, 0)
     with pytest.raises(ValueError):
-        numcore.forward(model, np.ones(4))
+        numcore.predict(model, np.ones((1, 4)))
     with pytest.raises(ValueError):
-        numcore.forward(model, np.ones(3), mode="weird")
-    with pytest.raises(ValueError):
-        numcore.forward(model, np.ones(3), mode=TRAIN)  # rng required
+        numcore.predict(model, np.ones(3))  # one row must still be a (1, 3) matrix
 
 
 def test_dropout_zero_train_equals_infer():
     model = numcore.init_model(6, 5, dropout_ratio=0.0)
-    x = np.linspace(-1, 1, 6)
-    rng = np.random.default_rng(0)
-    assert numcore.forward(model, x, mode=TRAIN, rng=rng) == numcore.forward(
-        model, x, mode=INFER
-    )
+    x = np.linspace(-1, 1, 6)[None, :]
+    train_pred, _ = numcore._forward_batch(model, x, np.random.default_rng(0))  # train mode
+    assert train_pred[0] == numcore.predict(model, x)[0]
 
 
 def test_dropout_masks_are_seed_deterministic():
     model = numcore.init_model(6, 5)
-    x = np.linspace(-1, 1, 6)
-    a = numcore.forward(model, x, mode=TRAIN, rng=np.random.default_rng(42))
-    b = numcore.forward(model, x, mode=TRAIN, rng=np.random.default_rng(42))
-    c = numcore.forward(model, x, mode=TRAIN, rng=np.random.default_rng(43))
+    x = np.linspace(-1, 1, 6)[None, :]
+    a, b, c = (
+        numcore._forward_batch(model, x, np.random.default_rng(seed))[0][0]
+        for seed in (42, 42, 43)
+    )
     assert a == b
     assert a != c  # different masks with overwhelming probability
 
@@ -151,7 +143,7 @@ def test_predict_matches_forward_rows():
     X = rng.normal(size=(10, model.input_dim))
     preds = numcore.predict(model, X)
     for i in range(10):
-        assert preds[i] == pytest.approx(numcore.forward(model, X[i]), abs=1e-15)
+        assert preds[i] == pytest.approx(numcore.predict(model, X[i : i + 1])[0], abs=1e-15)
     with pytest.raises(ValueError):
         numcore.predict(model, X[:, :-1] if model.input_dim > 1 else X[:, [0, 0]])
 
@@ -181,19 +173,19 @@ def test_backward_zero_weight_net_has_zero_input_grad():
     model = numcore.init_model(4, 2, hidden_dims=(3,), dropout_ratio=0.0)
     for layer in model.layers:
         layer.weights[:] = 0.0
-    bundle = numcore.backward(model, np.ones(4), 0.3)
-    assert np.all(bundle.input_grad == 0.0)
+    _, input_grad = row_gradients(model, np.ones(4), 0.3)
+    assert np.all(input_grad == 0.0)
 
 
 def test_backward_sign_flips_with_error_sign():
     rng = np.random.default_rng(11)
     model = random_small_model(rng)
     x = rng.normal(size=model.input_dim)
-    pred = numcore.forward(model, x)
-    lo = numcore.backward(model, x, pred - 0.2)
-    hi = numcore.backward(model, x, pred + 0.2)
-    assert np.allclose(lo.input_grad, -hi.input_grad, atol=1e-12)
-    for (dw_l, db_l), (dw_h, db_h) in zip(lo.param_grads, hi.param_grads):
+    pred = numcore.predict(model, x[None, :])[0]
+    lo_params, lo_input = row_gradients(model, x, pred - 0.2)
+    hi_params, hi_input = row_gradients(model, x, pred + 0.2)
+    assert np.allclose(lo_input, -hi_input, atol=1e-12)
+    for (dw_l, db_l), (dw_h, db_h) in zip(lo_params, hi_params):
         assert np.allclose(dw_l, -dw_h, atol=1e-12)
         assert np.allclose(db_l, -db_h, atol=1e-12)
 
@@ -204,10 +196,10 @@ def test_backward_matches_finite_differences_spot():
         model = random_small_model(rng)
         x = rng.normal(size=model.input_dim)
         y = float(rng.uniform(-0.9, 0.9))
-        bundle = numcore.backward(model, x, y)
+        params, input_grad = row_gradients(model, x, y)
         fd_params, fd_x = oracles.fd_gradients(model, x, y)
-        assert oracles.grads_close(bundle.input_grad, fd_x)
-        for (dw, db), (fw, fb) in zip(bundle.param_grads, fd_params):
+        assert oracles.grads_close(input_grad, fd_x)
+        for (dw, db), (fw, fb) in zip(params, fd_params):
             assert oracles.grads_close(dw, fw)
             assert oracles.grads_close(db, fb)
 
@@ -219,7 +211,7 @@ def test_input_gradients_match_backward_per_row():
     y = rng.uniform(-0.9, 0.9, size=8)
     grads = numcore.input_gradients(model, X, y)
     for i in range(8):
-        single = numcore.backward(model, X[i], y[i]).input_grad
+        _, single = row_gradients(model, X[i], y[i])
         assert np.allclose(grads[i], single, atol=1e-12)
 
 

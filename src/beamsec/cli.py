@@ -81,9 +81,7 @@ def train(config, data, seed, out):
     """Train the predictor on a dataset and save a checkpoint."""
     cfg = load_config(config)
     ds = load_dataset(data)
-    rng = np.random.default_rng(seed)
-    model = numcore.init_model(ds.num_features, int(rng.integers(0, 2**63)))
-    _, history = numcore.train(model, ds, cfg.train, rng)
+    model, history = numcore.fit(ds, cfg.train, np.random.default_rng(seed))
     numcore.save_model(model, out)
     click.echo(f"trained {cfg.train.epochs} epochs; final train MSE {history[-1]:.6g}")
     click.echo(f"saved checkpoint to {out}")
@@ -126,7 +124,8 @@ def defend(config, data, seed, out, history_path):
     cfg = load_config(config)
     ds = load_dataset(data)
     rng = np.random.default_rng(seed)
-    model, history = adversarial_train(ds, cfg.train, cfg.defense, rng)
+    model, _ = numcore.fit(ds, cfg.train, rng)
+    model, history = adversarial_train(model, ds, cfg.train, cfg.defense, rng)
     numcore.save_model(model, out)
     if history_path:
         round_history_to_csv(history, history_path)

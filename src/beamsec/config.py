@@ -55,7 +55,7 @@ def _value(kind, value, path: str):
         return np.array(items, dtype=np.float64) if kind is np.ndarray else items
     if kind in (int, float):
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not number or not math.isfinite(value) or (kind is int and value != int(value)):
+        if not number or not math.isfinite(value) or (kind is int and not isinstance(value, int)):
             what = "an integer" if kind is int else "a finite number"
             raise ConfigError(f"{path}: expected {what}, got {value!r}")
         return kind(value)

@@ -51,20 +51,21 @@ def _subset_metrics(model, X, y, atk):
 
 
 def adversarial_train(
+    model: numcore.MlpModel,
     base,
     train_cfg: numcore.TrainConfig,
     def_cfg: DefenseConfig,
     rng,
 ) -> Tuple[numcore.MlpModel, List[RoundRecord]]:
-    """Clean training round followed by FGSM-augmented fine-tuning rounds.
+    """FGSM-augmented fine-tuning rounds on top of a clean model.
 
-    Round 0 trains from scratch on the clean rows exactly like plain train().
-    Each later round generates fresh FGSM examples against the current model
-    for every base row, in a freshly shuffled order, appends them to the
-    growing pool (clean rows are kept), and fine-tunes the current weights.
-    Rounds stop at max_rounds or when the adversarial MSE on a fixed 10%
-    subset of the base rows (the probe) improves by less than
-    steady_state_rel_tol relative.
+    Round 0 is `model`, already trained on the clean rows of `base`; it is
+    copied, never modified. Each later round generates fresh FGSM examples
+    against the current model for every base row, in a freshly shuffled
+    order, appends them to the growing pool (clean rows are kept), and
+    fine-tunes the current weights. Rounds stop at max_rounds or when the
+    adversarial MSE on a fixed 10% subset of the base rows (the probe)
+    improves by less than steady_state_rel_tol relative.
 
     Returns the model from the round with the lowest probe adversarial MSE
     (kept_round: ties go to the earliest round; round 0 counts), so the round
@@ -77,10 +78,7 @@ def adversarial_train(
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("base dataset must be a nonempty (n, d) matrix")
     n = X.shape[0]
-
-    model_seed = int(rng.integers(0, 2**63))
-    model = numcore.init_model(X.shape[1], model_seed)
-    model, _ = numcore.train(model, base, train_cfg, rng)
+    model = numcore.copy_model(model)
 
     atk = AttackConfig(epsilon=def_cfg.epsilon)
     probe = rng.permutation(n)[: max(1, math.ceil(0.1 * n))]

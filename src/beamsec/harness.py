@@ -1,8 +1,9 @@
 """Experiment orchestration: clean, attacked, and defended scenario sweeps.
 
 Scenario ids: SC1 is the clean test MSE of the undefended model, SC2 its MSE
-under FGSM at each budget in the attack grid, SC3 the adversarially trained
-model's MSE under the same attacks. Every repetition r is fully determined by
+under FGSM at each budget in the attack grid, SC3 the MSE under the same
+attacks of the model that adversarial training derives from the SC1 model
+(its round 0). Every repetition r is fully determined by
 base_seed + r, so results are reproducible byte for byte.
 """
 
@@ -121,16 +122,14 @@ def _run_repetition(cfg: ExperimentConfig, repetition: int) -> List[ResultRow]:
     split_rng, train_rng, defense_rng = (np.random.default_rng(s) for s in streams)
     train_ds, test_ds = split_dataset(dataset, cfg.train_fraction, split_rng)
 
-    model_seed = int(train_rng.integers(0, 2**63))
-    model = numcore.init_model(train_ds.num_features, model_seed)
-    numcore.train(model, train_ds, cfg.train, train_rng)
+    model, _ = numcore.fit(train_ds, cfg.train, train_rng)
     clean_mse = numcore.mse_loss(numcore.predict(model, test_ds.features), test_ds.labels)
     rows.append(ResultRow(SC1, 0.0, repetition, clean_mse, time.perf_counter() - t0))
 
     rows += _attacked_rows(SC2, model, test_ds, cfg.attack_grid, repetition, 0.0)
 
     t0 = time.perf_counter()
-    robust, _history = adversarial_train(train_ds, cfg.train, cfg.defense, defense_rng)
+    robust, _history = adversarial_train(model, train_ds, cfg.train, cfg.defense, defense_rng)
     setup = time.perf_counter() - t0
     rows += _attacked_rows(SC3, robust, test_ds, cfg.attack_grid, repetition, setup)
     return rows

@@ -8,11 +8,12 @@ what the white-box attack code consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, fields
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from . import config
 from .framing import read_framed, write_framed
 
 RELU = "relu"
@@ -95,9 +96,12 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, one (m_w, v_w, m_b, v_b) per layer."""
+    """First/second moment accumulators over a flat parameter vector, and two
+    work vectors of the same length that each update writes through."""
 
-    moments: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+    m: np.ndarray
+    v: np.ndarray
+    work: Tuple[np.ndarray, np.ndarray]
 
 
 def init_model(
@@ -141,52 +145,98 @@ def copy_model(model: MlpModel) -> MlpModel:
     return MlpModel(layers=layers, input_dim=model.input_dim, rng_seed=model.rng_seed)
 
 
-def _forward_batch(model, X, rng=None):
-    """Run the stack on a (B, input_dim) batch; returns (preds (B,), caches).
+class _Workspace:
+    """Buffers for the passes of one call over batches of at most `rows` rows.
+
+    The forward pass writes each layer's activation, and in train mode its
+    dropout mask and dropped output, into buffers of its own; `caches` holds
+    each layer's (input, activation, mask) views from the last forward pass.
+    The backward pass shares three buffers across layers, sized to the
+    widest layer and allocated on its first use.
+    """
+
+    def __init__(self, model, rows, train):
+        self.rows = rows
+        self.width = max(model.input_dim, *(l.out_dim for l in model.layers))
+        self.act = [np.empty((rows, l.out_dim)) for l in model.layers]
+        dropout = [train and l.dropout_ratio > 0.0 for l in model.layers]
+        self.mask = [np.empty(a.shape) if d else None for a, d in zip(self.act, dropout)]
+        self.dropped = [np.empty(a.shape) if d else None for a, d in zip(self.act, dropout)]
+        self.caches = []
+        self.back = None
+
+    def back_buffer(self, which, rows, width):
+        """Backward buffer 0 (dpre), 1 (factor) or 2 (delta) as a (rows, width) view."""
+        if self.back is None:
+            self.back = np.empty((3, self.rows * self.width))
+        return self.back[which, : rows * width].reshape(rows, width)
+
+
+def _forward_batch(model, X, rng=None, ws=None):
+    """Run the stack on a (B, input_dim) batch; returns (preds (B,), ws).
 
     With an rng the pass is in train mode and draws dropout masks from it;
-    without one it is the inference pass.
+    without one it is the inference pass. Every layer writes into the
+    buffers of `ws` (a fresh workspace when None), which then holds the
+    caches of the backward pass; preds is a view into it.
     """
+    rows = X.shape[0]
+    if ws is None:
+        ws = _Workspace(model, rows, train=rng is not None)
     out = X
-    caches = []
-    for layer in model.layers:
-        pre = out @ layer.weights.T + layer.bias
+    ws.caches = []
+    for layer, act, mask, dropped in zip(model.layers, ws.act, ws.mask, ws.dropped):
+        act = np.matmul(out, layer.weights.T, out=act[:rows])
+        act += layer.bias
         if layer.activation == RELU:
-            act = np.maximum(pre, 0.0)
+            np.maximum(act, 0.0, out=act)
         else:
-            act = np.tanh(pre)
+            np.tanh(act, out=act)
         if rng is not None and layer.dropout_ratio > 0.0:
             keep = 1.0 - layer.dropout_ratio
             # inverted dropout: scale at train time so inference needs no rescale
-            mask = (rng.random(act.shape) < keep) / keep
-            dropped = act * mask
+            mask = rng.random(out=mask[:rows])
+            np.less(mask, keep, out=mask)
+            mask /= keep
+            dropped = np.multiply(act, mask, out=dropped[:rows])
         else:
             mask = None
             dropped = act
-        caches.append((out, pre, act, mask))
+        ws.caches.append((out, act, mask))
         out = dropped
-    return out[:, 0], caches
+    return out[:, 0], ws
 
 
-def _backward_batch(model, caches, dout, need_param_grads=True, need_input_grads=False):
-    """Reverse pass. dout is dLoss/dpred, shape (B,). Returns (param_grads, dX)."""
+def _backward_batch(model, ws, dout, grads=None, need_input_grads=False):
+    """Reverse pass through the last forward pass of workspace `ws`. dout is
+    dLoss/dpred, shape (B,). Writes each layer's (dW, db) into the matching
+    pair of `grads` when given; returns dLoss/dX when need_input_grads, else
+    None.
+    """
+    rows = dout.shape[0]
     delta = dout[:, None]
-    param_grads: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * len(model.layers)
     for idx in range(len(model.layers) - 1, -1, -1):
-        inp, pre, act, mask = caches[idx]
         layer = model.layers[idx]
-        if mask is not None:
-            delta = delta * mask
+        inp, act, mask = ws.caches[idx]
+        dpre = ws.back_buffer(0, rows, layer.out_dim)
+        factor = ws.back_buffer(1, rows, layer.out_dim)
         if layer.activation == RELU:
-            dpre = delta * (pre > 0.0)
+            np.greater(act, 0.0, out=factor)  # act > 0 exactly where pre > 0
         else:
-            dpre = delta * (1.0 - act * act)
-        if need_param_grads:
-            param_grads[idx] = (dpre.T @ inp, dpre.sum(axis=0))
+            np.multiply(act, act, out=factor)
+            np.subtract(1.0, factor, out=factor)
+        if mask is not None:
+            np.multiply(delta, mask, out=dpre)
+            dpre *= factor
+        else:
+            np.multiply(delta, factor, out=dpre)
+        if grads is not None:
+            dw, db = grads[idx]
+            np.matmul(dpre.T, inp, out=dw)
+            np.sum(dpre, axis=0, out=db)
         if idx > 0 or need_input_grads:
-            delta = dpre @ layer.weights
-    input_grad = delta if need_input_grads else None
-    return param_grads, input_grad
+            delta = np.matmul(dpre, layer.weights, out=ws.back_buffer(2, rows, layer.in_dim))
+    return delta if need_input_grads else None
 
 
 def predict(model: MlpModel, X) -> np.ndarray:
@@ -217,60 +267,55 @@ def input_gradients(model: MlpModel, X, y) -> np.ndarray:
         raise ValueError(f"feature matrix must have shape (B, {model.input_dim})")
     if y.shape != (X.shape[0],):
         raise ValueError("label vector length must match feature rows")
-    preds, caches = _forward_batch(model, X)
+    preds, ws = _forward_batch(model, X)
     dout = 2.0 * (preds - y)
-    _, dX = _backward_batch(model, caches, dout, need_param_grads=False, need_input_grads=True)
-    return dX
+    return _backward_batch(model, ws, dout, need_input_grads=True)
 
 
-def init_adam_state(model: MlpModel) -> AdamState:
-    moments = [
-        (
-            np.zeros_like(l.weights),
-            np.zeros_like(l.weights),
-            np.zeros_like(l.bias),
-            np.zeros_like(l.bias),
-        )
-        for l in model.layers
-    ]
-    return AdamState(moments=moments)
+def _layer_views(model, flat):
+    """Per-layer (weights, bias) views of a flat vector, laid out layer by layer."""
+    views, at = [], 0
+    for layer in model.layers:
+        end = at + layer.weights.size
+        views.append((flat[at:end].reshape(layer.weights.shape), flat[end : end + layer.out_dim]))
+        at = end + layer.out_dim
+    return views
+
+
+def init_adam_state(params: np.ndarray) -> AdamState:
+    return AdamState(
+        m=np.zeros_like(params),
+        v=np.zeros_like(params),
+        work=(np.empty_like(params), np.empty_like(params)),
+    )
 
 
 def adam_step(
-    model: MlpModel,
-    grads: Sequence[Tuple[np.ndarray, np.ndarray]],
-    state: AdamState,
-    cfg: TrainConfig,
-    t: int,
-) -> Tuple[MlpModel, AdamState]:
-    """One bias-corrected Adam update in place; t is the 1-based step counter."""
+    params: np.ndarray, grad: np.ndarray, state: AdamState, cfg: TrainConfig, t: int
+) -> None:
+    """One bias-corrected Adam update of a flat parameter vector in place; t is
+    the 1-based step counter."""
     if t < 1:
         raise ValueError("step counter t must be >= 1")
-    if len(grads) != len(model.layers):
-        raise ValueError("gradient list length must match layer count")
+    if grad.shape != params.shape or state.m.shape != params.shape:
+        raise ValueError("gradient and moment shapes must match the parameter vector")
     b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon, cfg.learning_rate
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
-    for layer, (dw, db), (m_w, v_w, m_b, v_b) in zip(model.layers, grads, state.moments):
-        if dw.shape != layer.weights.shape or db.shape != layer.bias.shape:
-            raise ValueError("gradient shapes must match parameter shapes")
-        m_w *= b1
-        m_w += (1.0 - b1) * dw
-        v_w *= b2
-        v_w += (1.0 - b2) * dw * dw
-        layer.weights -= lr * (m_w / c1) / (np.sqrt(v_w / c2) + eps)
-        m_b *= b1
-        m_b += (1.0 - b1) * db
-        v_b *= b2
-        v_b += (1.0 - b2) * db * db
-        layer.bias -= lr * (m_b / c1) / (np.sqrt(v_b / c2) + eps)
-    return model, state
-
-
-def _check_finite(model):
-    for i, layer in enumerate(model.layers):
-        if not np.isfinite(layer.weights).all() or not np.isfinite(layer.bias).all():
-            raise NumericalError(f"non-finite parameters in layer {i}")
+    m, v, (step, scale) = state.m, state.v, state.work
+    m *= b1
+    m += np.multiply(grad, 1.0 - b1, out=step)
+    v *= b2
+    np.multiply(grad, 1.0 - b2, out=step)
+    step *= grad
+    v += step
+    np.divide(m, c1, out=step)
+    step *= lr
+    np.divide(v, c2, out=scale)
+    np.sqrt(scale, out=scale)
+    scale += eps
+    step /= scale
+    params -= step
 
 
 def train(model: MlpModel, data, cfg: TrainConfig, rng) -> Tuple[MlpModel, List[float]]:
@@ -279,7 +324,8 @@ def train(model: MlpModel, data, cfg: TrainConfig, rng) -> Tuple[MlpModel, List[
     `data` is any object exposing `features` (n, input_dim) and `labels` (n,).
     Shuffling and dropout masks are drawn from the supplied generator, so a
     fixed seed reproduces the final weights bit for bit. Labels must lie
-    strictly inside the tanh range (-1, 1).
+    strictly inside the tanh range (-1, 1). The model is updated in place:
+    its layers' weights and biases become views of one flat parameter vector.
     """
     X = np.asarray(data.features, dtype=np.float64)
     y = np.asarray(data.labels, dtype=np.float64)
@@ -292,7 +338,16 @@ def train(model: MlpModel, data, cfg: TrainConfig, rng) -> Tuple[MlpModel, List[
     if np.any(np.abs(y) >= 1.0):
         raise ValueError("labels must lie strictly inside the tanh range (-1, 1)")
     n = X.shape[0]
-    state = init_adam_state(model)
+    params = np.empty(sum(l.weights.size + l.bias.size for l in model.layers))
+    for layer, (w, b) in zip(model.layers, _layer_views(model, params)):
+        w[...], b[...] = layer.weights, layer.bias
+        layer.weights, layer.bias = w, b
+    grad = np.empty_like(params)
+    grads = _layer_views(model, grad)
+    state = init_adam_state(params)
+    rows = min(cfg.batch_size, n)
+    ws = _Workspace(model, rows, train=True)
+    xb_buf, yb_buf = np.empty((rows, X.shape[1])), np.empty(rows)
     t = 0
     history = []
     for _ in range(cfg.epochs):
@@ -300,49 +355,73 @@ def train(model: MlpModel, data, cfg: TrainConfig, rng) -> Tuple[MlpModel, List[
         losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            xb, yb = X[idx], y[idx]
-            preds, caches = _forward_batch(model, xb, rng)
+            xb = np.take(X, idx, axis=0, out=xb_buf[: idx.size])
+            yb = np.take(y, idx, out=yb_buf[: idx.size])
+            preds, _ = _forward_batch(model, xb, rng, ws)
             err = preds - yb
             losses.append(float(np.mean(err * err)))
             dout = 2.0 * err / idx.size
-            grads, _ = _backward_batch(model, caches, dout)
+            _backward_batch(model, ws, dout, grads)
             t += 1
-            adam_step(model, grads, state, cfg, t)
-            _check_finite(model)
+            adam_step(params, grad, state, cfg, t)
+            if not np.isfinite(params).all():
+                bad = next(
+                    i for i, l in enumerate(model.layers)
+                    if not (np.isfinite(l.weights).all() and np.isfinite(l.bias).all())
+                )
+                raise NumericalError(f"non-finite parameters in layer {bad}")
         history.append(float(np.mean(losses)))
     return model, history
 
 
-_MODEL_KEYS = ("input_dim", "seed", "layers")
+def fit(data, cfg: TrainConfig, rng) -> Tuple[MlpModel, List[float]]:
+    """Train a fresh model on `data`: the first draw of rng seeds init_model,
+    then train() draws its shuffles and dropout masks from the same rng."""
+    model = init_model(np.shape(data.features)[-1], int(rng.integers(0, 2**63)))
+    return train(model, data, cfg, rng)
+
+
+@dataclass(frozen=True)
+class _LayerHeader:
+    """One entry of a checkpoint header's layer list."""
+
+    in_dim: int
+    out_dim: int
+    activation: str
+    dropout_ratio: float
+
+
+@dataclass(frozen=True)
+class _ModelHeader:
+    input_dim: int
+    seed: int
+    layers: list  # each entry is read as a _LayerHeader
 
 
 def save_model(model: MlpModel, path) -> None:
     """Framed checkpoint (BMMLP1): JSON header, then each layer's weights and bias."""
-    header = {
-        "input_dim": model.input_dim,
-        "seed": model.rng_seed,
-        "layers": [
-            {
-                "in_dim": l.in_dim,
-                "out_dim": l.out_dim,
-                "activation": l.activation,
-                "dropout_ratio": l.dropout_ratio,
-            }
-            for l in model.layers
-        ],
-    }
+    layers = [
+        _LayerHeader(l.in_dim, l.out_dim, l.activation, l.dropout_ratio) for l in model.layers
+    ]
+    header = asdict(_ModelHeader(model.input_dim, model.rng_seed, layers))
     write_framed(path, _MAGIC, header, [a for l in model.layers for a in (l.weights, l.bias)])
 
 
 def load_model(path) -> MlpModel:
-    """Read a checkpoint; a malformed one raises framing.FormatError."""
+    """Read a checkpoint; a malformed one raises framing.FormatError.
+
+    The header and each of its layer entries must have exactly the fields of
+    _ModelHeader and _LayerHeader, typed as config.load types them.
+    """
 
     def decode(header, take):
+        head = config.load(_ModelHeader, header)
         layers = []
-        for entry in header["layers"]:
-            weights = take((entry["out_dim"], entry["in_dim"]))
-            bias = take((entry["out_dim"],))
-            layers.append(DenseLayer(weights, bias, entry["activation"], entry["dropout_ratio"]))
-        return MlpModel(layers=layers, input_dim=header["input_dim"], rng_seed=header["seed"])
+        for i, entry in enumerate(head.layers):
+            spec = config.load(_LayerHeader, entry, f"layers[{i}]")
+            weights = take((spec.out_dim, spec.in_dim))
+            bias = take((spec.out_dim,))
+            layers.append(DenseLayer(weights, bias, spec.activation, spec.dropout_ratio))
+        return MlpModel(layers=layers, input_dim=head.input_dim, rng_seed=head.seed)
 
-    return read_framed(path, _MAGIC, _MODEL_KEYS, decode)
+    return read_framed(path, _MAGIC, [f.name for f in fields(_ModelHeader)], decode)

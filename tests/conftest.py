@@ -46,8 +46,7 @@ def tiny_trained():
     ds = channel.build_dataset(params, 600)
     rng = np.random.default_rng(7)
     train_ds, test_ds = channel.split_dataset(ds, 0.8, rng)
-    model = numcore.init_model(train_ds.num_features, int(rng.integers(0, 2**63)))
-    model, history = numcore.train(model, train_ds, numcore.TrainConfig(), rng)
+    model, history = numcore.fit(train_ds, numcore.TrainConfig(), rng)
     return SimpleNamespace(
         params=params, model=model, train=train_ds, test=test_ds, history=history
     )
@@ -62,8 +61,7 @@ def default_model():
     ds = channel.build_dataset(channel.default_scenario(seed=1), 12500)
     rng = np.random.default_rng(1)
     train_ds, test_ds = channel.split_dataset(ds, 0.8, rng)
-    model = numcore.init_model(train_ds.num_features, int(rng.integers(0, 2**63)))
-    model, _ = numcore.train(model, train_ds, numcore.TrainConfig(), rng)
+    model, _ = numcore.fit(train_ds, numcore.TrainConfig(), rng)
     return SimpleNamespace(
         model=model, train=train_ds, test=test_ds, build_s=time.perf_counter() - t0
     )
@@ -96,6 +94,7 @@ def load_results_csv(path):
 def row_gradients(model, x, y):
     """Gradients of (f(x) - y)^2 at one input row, without dropout, through the
     batched passes that train() runs: (per-layer (dW, db) list, input grad)."""
-    preds, caches = numcore._forward_batch(model, np.asarray(x, dtype=np.float64)[None, :])
-    grads, dx = numcore._backward_batch(model, caches, 2.0 * (preds - y), need_input_grads=True)
+    preds, ws = numcore._forward_batch(model, np.asarray(x, dtype=np.float64)[None, :])
+    grads = [(np.empty_like(l.weights), np.empty_like(l.bias)) for l in model.layers]
+    dx = numcore._backward_batch(model, ws, 2.0 * (preds - y), grads, need_input_grads=True)
     return grads, dx[0]

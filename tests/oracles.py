@@ -177,3 +177,86 @@ def linf_multistep_attack(model, X, y, epsilon: float, steps: int = 20) -> np.nd
         X_adv = X_adv + step * np.sign(fd_input_gradient_rows(model, X_adv, y))
         X_adv = np.clip(X_adv, X - epsilon, X + epsilon)
     return X_adv
+
+
+def _reference_forward(model, X, rng=None):
+    """The stack on a batch, allocating every intermediate; dropout masks are
+    drawn from rng exactly as numcore draws them in train mode."""
+    out = X
+    caches = []
+    for layer in model.layers:
+        pre = out @ layer.weights.T + layer.bias
+        act = np.maximum(pre, 0.0) if layer.activation == numcore.RELU else np.tanh(pre)
+        mask = None
+        if rng is not None and layer.dropout_ratio > 0.0:
+            keep = 1.0 - layer.dropout_ratio
+            mask = (rng.random(act.shape) < keep) / keep
+        caches.append((out, pre, act, mask))
+        out = act if mask is None else act * mask
+    return out[:, 0], caches
+
+
+def _reference_backward(model, caches, dout):
+    """Per-layer (dW, db) of the loss whose gradient wrt the predictions is dout."""
+    delta = dout[:, None]
+    grads = [None] * len(model.layers)
+    for idx in range(len(model.layers) - 1, -1, -1):
+        inp, pre, act, mask = caches[idx]
+        if mask is not None:
+            delta = delta * mask
+        if model.layers[idx].activation == numcore.RELU:
+            dpre = delta * (pre > 0.0)
+        else:
+            dpre = delta * (1.0 - act * act)
+        grads[idx] = (dpre.T @ inp, dpre.sum(axis=0))
+        delta = dpre @ model.layers[idx].weights
+    return grads
+
+
+def _reference_adam_step(model, grads, moments, cfg, t):
+    """Bias-corrected Adam, one layer and one parameter array at a time."""
+    b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon, cfg.learning_rate
+    c1 = 1.0 - b1**t
+    c2 = 1.0 - b2**t
+    for layer, (dw, db), (m_w, v_w, m_b, v_b) in zip(model.layers, grads, moments):
+        m_w *= b1
+        m_w += (1.0 - b1) * dw
+        v_w *= b2
+        v_w += (1.0 - b2) * dw * dw
+        layer.weights -= lr * (m_w / c1) / (np.sqrt(v_w / c2) + eps)
+        m_b *= b1
+        m_b += (1.0 - b1) * db
+        v_b *= b2
+        v_b += (1.0 - b2) * db * db
+        layer.bias -= lr * (m_b / c1) / (np.sqrt(v_b / c2) + eps)
+
+
+def reference_train(model, data, cfg, rng):
+    """numcore.train written the plain way: fresh arrays for every batch, the
+    per-layer Adam update above, and a per-layer finiteness check after each
+    step. Mutates model's arrays in place; returns (model, per-epoch losses)."""
+    X = np.asarray(data.features, dtype=np.float64)
+    y = np.asarray(data.labels, dtype=np.float64)
+    n = X.shape[0]
+    moments = [
+        tuple(np.zeros_like(a) for a in (l.weights, l.weights, l.bias, l.bias))
+        for l in model.layers
+    ]
+    t = 0
+    history = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        losses = []
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            preds, caches = _reference_forward(model, X[idx], rng)
+            err = preds - y[idx]
+            losses.append(float(np.mean(err * err)))
+            grads = _reference_backward(model, caches, 2.0 * err / idx.size)
+            t += 1
+            _reference_adam_step(model, grads, moments, cfg, t)
+            for i, layer in enumerate(model.layers):
+                if not np.isfinite(layer.weights).all() or not np.isfinite(layer.bias).all():
+                    raise numcore.NumericalError(f"non-finite parameters in layer {i}")
+        history.append(float(np.mean(losses)))
+    return model, history

@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 from dataclasses import replace
 
@@ -105,6 +106,7 @@ def test_criterion_1_gradients_match_finite_differences():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_2_clean_test_accuracy(default_model):
     """Default scenario, seed 1: train once and demand low test MSE plus a
     strong prediction/label correlation. The time bound covers the shared
@@ -125,6 +127,7 @@ def test_criterion_2_clean_test_accuracy(default_model):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_3_attack_degrades_mse_tenfold(default_run):
     """At the largest budget the attacked/clean MSE ratio, averaged over the
     20 repetitions, must reach 10x; the whole sweep must stay under 10 min.
@@ -151,6 +154,7 @@ def test_criterion_3_attack_degrades_mse_tenfold(default_run):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_4_degradation_monotone_in_budget(default_run):
     """Mean attacked MSE must increase with the attack budget (rank
     correlation at least 0.9 across the ten budgets)."""
@@ -169,6 +173,7 @@ def test_criterion_4_degradation_monotone_in_budget(default_run):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_5_defense_restores_accuracy(default_run):
     """The defended model at budget 0.1 must stay near clean accuracy (at
     most 3x the clean MSE) and recover most of the attacked loss: its MSE in
@@ -274,6 +279,7 @@ def test_criterion_7_channel_and_codebook_invariants():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_8_sweep_is_reproducible(default_run, tmp_path):
     """A second identical CLI invocation reproduces results.csv and
     summary.csv byte for byte."""

@@ -119,6 +119,7 @@ def test_perturbation_signs_match_finite_differences(tiny_trained):
     assert agree / total >= 0.99
 
 
+@pytest.mark.slow
 def test_fgsm_near_multistep_oracle_at_default_budget(default_model):
     """Criterion 2's model (default scenario, seed 1) at budget 0.1: FGSM must
     reach at least half the excess test MSE of a 20-step projected

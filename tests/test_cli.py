@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from beamsec import cli, harness, numcore
 from beamsec.channel import Dataset, build_dataset, load_dataset, save_dataset
 from beamsec.defense import DefenseConfig
+from beamsec.framing import write_framed
 from beamsec.harness import ExperimentConfig, config_to_dict
 
 from conftest import make_tiny_scenario
@@ -178,27 +179,76 @@ def test_non_finite_config_exits_2(runner, tmp_path, monkeypatch, doc, field):
     assert "config error" in result.output and field in result.output
 
 
+# Checkpoint headers that differ from save_model's by one field each.
+MODEL_HEADER_EDITS = {
+    "model_input_dim_float": lambda h: h.update(input_dim=8.0),
+    "model_seed_float": lambda h: h.update(seed=3.0),
+    "model_layer_extra_key": lambda h: h["layers"][0].update(junk=1),
+    "model_dropout_bool": lambda h: h["layers"][0].update(dropout_ratio=False),
+}
+
+
 @pytest.mark.parametrize(
-    "case", ["dataset_cut_by_5_bytes", "dataset_plus_8_bytes", "model_as_data", "dataset_as_model"]
+    "case",
+    [
+        "dataset_cut_by_5_bytes",
+        "dataset_plus_8_bytes",
+        "model_as_data",
+        "dataset_as_model",
+        *MODEL_HEADER_EDITS,
+    ],
 )
 def test_malformed_artifact_exits_3(runner, tmp_path, case):
     data, model, bad = tmp_path / "data.bin", tmp_path / "model.bin", tmp_path / "bad.bin"
     save_dataset(build_dataset(make_tiny_scenario(seed=5), 50), data)
-    numcore.save_model(numcore.init_model(8, 0), model)
-    blob = data.read_bytes()
-    bad.write_bytes(blob[:-5] if case == "dataset_cut_by_5_bytes" else blob + bytes(8))
+    net = numcore.init_model(8, 0)
+    numcore.save_model(net, model)
     out = str(tmp_path / "out.bin")
-    argv = {
-        "dataset_cut_by_5_bytes": ["train", "--data", str(bad), "--out", out],
-        "dataset_plus_8_bytes": ["train", "--data", str(bad), "--out", out],
-        "model_as_data": ["train", "--data", str(model), "--out", out],
-        "dataset_as_model": [
-            "attack", "--model", str(data), "--data", str(data), "--eps", "0.1", "--out", out,
-        ],
-    }[case]
+    attack_with = lambda path: [
+        "attack", "--model", str(path), "--data", str(data), "--eps", "0.1", "--out", out,
+    ]
+    if case in MODEL_HEADER_EDITS:
+        header = {
+            "input_dim": 8,
+            "seed": 0,
+            "layers": [
+                {"in_dim": l.in_dim, "out_dim": l.out_dim, "activation": l.activation,
+                 "dropout_ratio": l.dropout_ratio}
+                for l in net.layers
+            ],
+        }
+        MODEL_HEADER_EDITS[case](header)
+        arrays = [a for l in net.layers for a in (l.weights, l.bias)]
+        write_framed(bad, b"BMMLP1", header, arrays)
+        argv = attack_with(bad)
+    else:
+        blob = data.read_bytes()
+        bad.write_bytes(blob[:-5] if case == "dataset_cut_by_5_bytes" else blob + bytes(8))
+        argv = {
+            "dataset_cut_by_5_bytes": ["train", "--data", str(bad), "--out", out],
+            "dataset_plus_8_bytes": ["train", "--data", str(bad), "--out", out],
+            "model_as_data": ["train", "--data", str(model), "--out", out],
+            "dataset_as_model": attack_with(data),
+        }[case]
     result = runner.invoke(cli.main, argv)
     assert result.exit_code == 3, result.output
     assert re.search(r"format error: .*(bad|data|model)\.bin", result.output)
+
+
+def test_defend_single_round_checkpoint_equals_train(runner, tmp_path, tiny_config_path):
+    """With one round, defend keeps its clean round 0, which it trains from
+    --seed in the same draw order as train: the checkpoints are the same bytes."""
+    doc = json.loads(tiny_config_path.read_text())
+    doc["defense"]["max_rounds"] = 1
+    cfg = tmp_path / "one_round.json"
+    cfg.write_text(json.dumps(doc))
+    data = tmp_path / "data.bin"
+    save_dataset(build_dataset(make_tiny_scenario(seed=5), 300), data)
+    common = ["--config", str(cfg), "--data", str(data), "--seed", "4"]
+    trained, defended = tmp_path / "trained.bin", tmp_path / "defended.bin"
+    assert runner.invoke(cli.main, ["train", *common, "--out", str(trained)]).exit_code == 0
+    assert runner.invoke(cli.main, ["defend", *common, "--out", str(defended)]).exit_code == 0
+    assert trained.read_bytes() == defended.read_bytes()
 
 
 def test_missing_results_file_exits_3(runner, tmp_path):

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from beamsec import channel, numcore
 from beamsec.attack import AttackConfig, attack_dataset
-from beamsec.defense import DefenseConfig, adversarial_train, round_history_to_csv
+from beamsec.defense import DefenseConfig, RoundRecord, adversarial_train, round_history_to_csv
 
 
 FAST = numcore.TrainConfig(epochs=2)
@@ -19,6 +21,13 @@ def small_data(tiny_scenario, rows=300, seed=3):
     ds = channel.build_dataset(tiny_scenario, rows)
     rng = np.random.default_rng(seed)
     return channel.split_dataset(ds, 0.8, rng)
+
+
+def defend(train_ds, train_cfg, def_cfg, rng):
+    """Clean round 0 from rng, then adversarial training on the same rng: the
+    draw order of `beamsec defend`."""
+    model, _ = numcore.fit(train_ds, train_cfg, rng)
+    return adversarial_train(model, train_ds, train_cfg, def_cfg, rng)
 
 
 def test_defense_config_validation():
@@ -36,7 +45,7 @@ def test_single_round_equals_plain_training(tiny_scenario):
     train_ds, _ = small_data(tiny_scenario)
     cfg = DefenseConfig(epsilon=0.1, max_rounds=1)
 
-    defended, history = adversarial_train(train_ds, FAST, cfg, np.random.default_rng(12))
+    defended, history = defend(train_ds, FAST, cfg, np.random.default_rng(12))
 
     rng = np.random.default_rng(12)
     plain = numcore.init_model(train_ds.num_features, int(rng.integers(0, 2**63)))
@@ -50,11 +59,35 @@ def test_single_round_equals_plain_training(tiny_scenario):
         assert np.array_equal(ld.bias, lp.bias)
 
 
+def test_round_zero_is_the_passed_model(tiny_scenario):
+    """adversarial_train fine-tunes a copy: the passed model keeps its arrays
+    and values, and round 0's record holds that model's probe metrics."""
+    train_ds, _ = small_data(tiny_scenario)
+    model, _ = numcore.fit(train_ds, FAST, np.random.default_rng(6))
+    arrays = [(l.weights, l.bias) for l in model.layers]
+    values = [(w.copy(), b.copy()) for w, b in arrays]
+    cfg = DefenseConfig(epsilon=0.1, max_rounds=3, steady_state_rel_tol=1e-12)
+
+    defended, history = adversarial_train(model, train_ds, FAST, cfg, np.random.default_rng(9))
+
+    assert len(history) > 1 and defended is not model
+    for layer, (w, b), (w0, b0) in zip(model.layers, arrays, values):
+        assert layer.weights is w and layer.bias is b
+        assert np.array_equal(w, w0) and np.array_equal(b, b0)
+    n = train_ds.num_rows
+    probe = np.random.default_rng(9).permutation(n)[: math.ceil(0.1 * n)]
+    X, y = train_ds.features[probe], train_ds.labels[probe]
+    x_adv = attack_dataset(model, SimpleNamespace(features=X, labels=y), AttackConfig(epsilon=0.1))
+    clean = numcore.mse_loss(numcore.predict(model, X), y)
+    adv = numcore.mse_loss(numcore.predict(model, x_adv), y)
+    assert history[0] == RoundRecord(0, clean, adv, n)
+
+
 def test_augmentation_row_schedule(tiny_scenario):
     train_ds, _ = small_data(tiny_scenario)
     n = train_ds.num_rows
     cfg = DefenseConfig(epsilon=0.1, max_rounds=4, steady_state_rel_tol=1e-12)
-    _, history = adversarial_train(train_ds, FAST, cfg, np.random.default_rng(5))
+    _, history = defend(train_ds, FAST, cfg, np.random.default_rng(5))
     for rec in history:
         assert rec.dataset_rows == n + rec.round_index * n  # every base row, each round
     assert len(history) <= cfg.max_rounds
@@ -63,7 +96,7 @@ def test_augmentation_row_schedule(tiny_scenario):
 def test_round_indices_and_termination(tiny_scenario):
     train_ds, _ = small_data(tiny_scenario)
     cfg = DefenseConfig(epsilon=0.1, max_rounds=6)
-    _, history = adversarial_train(train_ds, FAST, cfg, np.random.default_rng(8))
+    _, history = defend(train_ds, FAST, cfg, np.random.default_rng(8))
     assert [rec.round_index for rec in history] == list(range(len(history)))
     assert 1 <= len(history) <= 6
     for rec in history:
@@ -74,8 +107,8 @@ def test_round_indices_and_termination(tiny_scenario):
 def test_defense_history_is_seed_reproducible(tiny_scenario):
     train_ds, _ = small_data(tiny_scenario)
     cfg = DefenseConfig(epsilon=0.1, max_rounds=3)
-    m1, h1 = adversarial_train(train_ds, FAST, cfg, np.random.default_rng(77))
-    m2, h2 = adversarial_train(train_ds, FAST, cfg, np.random.default_rng(77))
+    m1, h1 = defend(train_ds, FAST, cfg, np.random.default_rng(77))
+    m2, h2 = defend(train_ds, FAST, cfg, np.random.default_rng(77))
     assert h1 == h2
     for la, lb in zip(m1.layers, m2.layers):
         assert np.array_equal(la.weights, lb.weights)
@@ -92,7 +125,7 @@ def test_defense_improves_or_holds_adversarial_mse(tiny_scenario):
         rng = np.random.default_rng(1)
         train_ds, _ = channel.split_dataset(ds, 0.8, rng)
         cfg = DefenseConfig(epsilon=0.1, max_rounds=max_rounds)
-        return adversarial_train(train_ds, numcore.TrainConfig(), cfg, rng)
+        return defend(train_ds, numcore.TrainConfig(), cfg, rng)
 
     model, history = run(5)
     if len(history) > 1:
@@ -116,7 +149,9 @@ def test_adversarial_train_rejects_empty():
         labels = np.empty(0)
 
     with pytest.raises(ValueError):
-        adversarial_train(Empty(), FAST, DefenseConfig(), np.random.default_rng(0))
+        adversarial_train(
+            numcore.init_model(4, 0), Empty(), FAST, DefenseConfig(), np.random.default_rng(0)
+        )
 
 
 def test_evaluate_robustness_table(tiny_trained):
@@ -146,11 +181,10 @@ def test_defended_curve_beats_undefended(tiny_scenario):
     rng = np.random.default_rng(2)
     train_ds, test_ds = channel.split_dataset(ds, 0.8, rng)
 
-    plain = numcore.init_model(train_ds.num_features, int(rng.integers(0, 2**63)))
-    plain, _ = numcore.train(plain, train_ds, numcore.TrainConfig(), rng)
+    plain, _ = numcore.fit(train_ds, numcore.TrainConfig(), rng)
 
     defended, _ = adversarial_train(
-        train_ds, numcore.TrainConfig(), DefenseConfig(epsilon=0.1), np.random.default_rng(2)
+        plain, train_ds, numcore.TrainConfig(), DefenseConfig(epsilon=0.1), np.random.default_rng(2)
     )
     for eps in [0.02, 0.06, 0.1]:
         atk = AttackConfig(epsilon=eps)
@@ -163,7 +197,7 @@ def test_defended_curve_beats_undefended(tiny_scenario):
 
 def test_round_history_csv(tmp_path, tiny_scenario):
     train_ds, _ = small_data(tiny_scenario)
-    _, history = adversarial_train(
+    _, history = defend(
         train_ds, FAST, DefenseConfig(epsilon=0.1, max_rounds=2), np.random.default_rng(4)
     )
     path = tmp_path / "rounds.csv"

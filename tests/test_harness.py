@@ -238,6 +238,8 @@ def test_config_type_errors_name_the_field():
         config_from_dict({"repetitions": 2.5})
     with pytest.raises(ConfigError, match="repetitions"):
         config_from_dict({"repetitions": True})
+    with pytest.raises(ConfigError, match="repetitions"):
+        config_from_dict({"repetitions": 2.0})  # an integer field takes JSON integers only
     with pytest.raises(ConfigError, match="train_fraction"):
         config_from_dict({"train_fraction": "most"})
     with pytest.raises(ConfigError, match=r"attack_grid\[1\]"):

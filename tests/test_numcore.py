@@ -220,22 +220,18 @@ def test_input_gradients_match_backward_per_row():
 
 def test_adam_zero_gradient_is_fixed_point():
     model = numcore.init_model(3, 9, hidden_dims=(4,), dropout_ratio=0.0)
-    before = [(l.weights.copy(), l.bias.copy()) for l in model.layers]
-    zeros = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers]
-    state = numcore.init_adam_state(model)
-    numcore.adam_step(model, zeros, state, TrainConfig(), t=1)
-    for layer, (w0, b0) in zip(model.layers, before):
-        assert np.array_equal(layer.weights, w0)
-        assert np.array_equal(layer.bias, b0)
+    params = np.concatenate([a.ravel() for l in model.layers for a in (l.weights, l.bias)])
+    before = params.copy()
+    state = numcore.init_adam_state(params)
+    numcore.adam_step(params, np.zeros_like(params), state, TrainConfig(), t=1)
+    assert np.array_equal(params, before)
 
 
 def test_adam_first_step_is_signed_learning_rate():
-    layer = DenseLayer(np.zeros((1, 1)), np.zeros(1), "tanh")
-    model = MlpModel(layers=[layer], input_dim=1, rng_seed=0)
-    state = numcore.init_adam_state(model)
-    grads = [(np.array([[1.0]]), np.zeros(1))]
-    numcore.adam_step(model, grads, state, TrainConfig(), t=1)
-    assert layer.weights[0, 0] == pytest.approx(-0.01, abs=1e-8)
+    params = np.zeros(2)  # one weight, one bias
+    state = numcore.init_adam_state(params)
+    numcore.adam_step(params, np.array([1.0, 0.0]), state, TrainConfig(), t=1)
+    assert params[0] == pytest.approx(-0.01, abs=1e-8)
 
 
 def test_adam_matches_scalar_reference_trajectory():
@@ -244,28 +240,25 @@ def test_adam_matches_scalar_reference_trajectory():
     for _ in range(25):
         steps = int(rng.integers(1, 30))
         gseq = rng.normal(size=steps)
-        layer = DenseLayer(np.zeros((1, 1)), np.zeros(1), "tanh")
-        model = MlpModel(layers=[layer], input_dim=1, rng_seed=0)
-        state = numcore.init_adam_state(model)
+        params = np.zeros(2)
+        state = numcore.init_adam_state(params)
         expected = oracles.adam_scalar_trajectory(
             gseq, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
         )
         for t, g in enumerate(gseq, start=1):
-            numcore.adam_step(model, [(np.array([[g]]), np.zeros(1))], state, cfg, t)
-            assert layer.weights[0, 0] == pytest.approx(expected[t], abs=1e-12)
+            numcore.adam_step(params, np.array([g, 0.0]), state, cfg, t)
+            assert params[0] == pytest.approx(expected[t], abs=1e-12)
 
 
 def test_adam_rejects_bad_steps_and_shapes():
-    model = numcore.init_model(2, 0, hidden_dims=(2,), dropout_ratio=0.0)
-    state = numcore.init_adam_state(model)
-    grads = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers]
+    params = np.zeros(5)
+    state = numcore.init_adam_state(params)
     with pytest.raises(ValueError):
-        numcore.adam_step(model, grads, state, TrainConfig(), t=0)
+        numcore.adam_step(params, np.zeros(5), state, TrainConfig(), t=0)
     with pytest.raises(ValueError):
-        numcore.adam_step(model, grads[:1], state, TrainConfig(), t=1)
-    bad = [(np.zeros((5, 5)), np.zeros(5)) for _ in model.layers]
+        numcore.adam_step(params, np.zeros(4), state, TrainConfig(), t=1)
     with pytest.raises(ValueError):
-        numcore.adam_step(model, bad, state, TrainConfig(), t=1)
+        numcore.adam_step(params, np.zeros((5, 5)), state, TrainConfig(), t=1)
 
 
 def test_train_config_validation():
@@ -308,6 +301,34 @@ def test_train_reduces_loss_and_is_deterministic(tiny_trained):
     for la, lb in zip(m1.layers, m2.layers):
         assert np.array_equal(la.weights, lb.weights)
         assert np.array_equal(la.bias, lb.bias)
+
+
+@pytest.mark.parametrize(
+    "rows, cfg, dropout",
+    [
+        (1050, TrainConfig(epochs=2), 0.25),  # ragged last batch of 50 rows
+        (1000, TrainConfig(batch_size=64, epochs=2), 0.25),
+        (1000, TrainConfig(), 0.25),
+        (1000, TrainConfig(epochs=2), 0.0),
+    ],
+    ids=["ragged_last_batch", "batch_64", "default_config", "no_dropout"],
+)
+def test_train_matches_reference_loop_bit_for_bit(rows, cfg, dropout):
+    """The flat-buffer loop runs the reference loop's arithmetic and draws:
+    weights, biases and loss history are identical, not just close."""
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(rows, 16))
+    data = Rows(X, np.tanh(X[:, :3].sum(axis=1)) * 0.9)
+    model, history = numcore.train(
+        numcore.init_model(16, 5, dropout_ratio=dropout), data, cfg, np.random.default_rng(8)
+    )
+    ref, ref_history = oracles.reference_train(
+        numcore.init_model(16, 5, dropout_ratio=dropout), data, cfg, np.random.default_rng(8)
+    )
+    assert history == ref_history
+    for lm, lr in zip(model.layers, ref.layers):
+        assert np.array_equal(lm.weights, lr.weights)
+        assert np.array_equal(lm.bias, lr.bias)
 
 
 def test_train_rejects_bad_data():

@@ -52,14 +52,6 @@ class UserGrid:
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         return np.column_stack([gx.ravel(), gy.ravel()])
 
-    def contains(self, pos) -> bool:
-        x, y = float(pos[0]), float(pos[1])
-        tol = 1e-9
-        return (
-            self.x_min - tol <= x <= self.x_max + tol
-            and self.y_min - tol <= y <= self.y_max + tol
-        )
-
 
 @dataclass(frozen=True)
 class Wall:
@@ -125,55 +117,19 @@ def default_scenario(seed: int = 1) -> ScenarioParams:
     return ScenarioParams(seed=seed)
 
 
-@dataclass(frozen=True)
-class Path:
-    """One propagation path: complex gain, departure angle, delay, bounce count."""
-
-    gain: complex
-    aod_rad: float
-    delay_s: float
-    bounces: int
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """h[n, k, m]: BS n, subcarrier k, antenna m; plus the per-BS path lists."""
-
-    h: np.ndarray
-    paths: Tuple[Tuple[Path, ...], ...]
-
-
-@dataclass(frozen=True)
-class Codebook:
-    """Beam steering vectors, one row per beam, plus their steering angles."""
-
-    vectors: np.ndarray  # (num_beams, num_antennas) complex
-    angles: np.ndarray  # (num_beams,) radians
-
-    def __len__(self) -> int:
-        return self.vectors.shape[0]
-
-
-def steering_vector(angle_rad: float, num_antennas: int) -> np.ndarray:
-    """Unit-norm ULA steering vector; element m carries phase pi*m*sin(angle)."""
-    if num_antennas < 1:
-        raise ValueError("num_antennas must be >= 1")
-    m = np.arange(num_antennas)
-    return np.exp(1j * np.pi * m * np.sin(angle_rad)) / np.sqrt(num_antennas)
-
-
-def dft_codebook(num_antennas: int, oversampling: int = 1) -> Codebook:
-    """num_antennas*oversampling beams tiling sin-space uniformly over [-1, 1)."""
+def dft_codebook(num_antennas: int, oversampling: int = 1) -> np.ndarray:
+    """Unit-norm beams, (num_antennas*oversampling, num_antennas), whose
+    steering sines tile [-1, 1) uniformly; element m of the beam steered to
+    sin s carries phase pi*m*s."""
     if num_antennas < 1:
         raise ValueError("num_antennas must be >= 1")
     if oversampling < 1:
         raise ValueError("oversampling must be >= 1")
     num_beams = num_antennas * oversampling
     sin_grid = -1.0 + 2.0 * np.arange(num_beams) / num_beams
-    vectors = np.exp(
+    return np.exp(
         1j * np.pi * np.outer(sin_grid, np.arange(num_antennas))
     ) / np.sqrt(num_antennas)
-    return Codebook(vectors=vectors, angles=np.arcsin(sin_grid))
 
 
 def _mirror_point(point: np.ndarray, wall: Wall) -> np.ndarray:
@@ -267,90 +223,36 @@ def _channel_tensor(params: ScenarioParams, gains, sin_aod, delays, valid):
     return np.einsum("rl,rlk,rlm->rkm", g, sub_phase, steer)
 
 
-def generate_channels(params: ScenarioParams, user_pos) -> ChannelRealization:
-    """Image-method channel for one user position.
+def channels(params: ScenarioParams, positions) -> np.ndarray:
+    """Image-method channels h[n, r, k, m] of every BS n at the (R, 2) user
+    positions r, on subcarrier k and antenna m.
 
     LOS plus at most one bounce per wall; per-path gain lambda/(4 pi d) with
     carrier phase, per-subcarrier phase exp(-j 2 pi k tau B / K).
     """
-    pos = np.asarray(user_pos, dtype=np.float64)
-    if pos.shape != (2,):
-        raise ValueError("user position must be a 2-vector")
-    if not params.user_grid.contains(pos):
-        raise ValueError("user position lies outside the user grid")
-    N, K, M = params.num_bs, params.num_subcarriers, params.num_antennas
-    h = np.zeros((N, K, M), dtype=np.complex128)
-    all_paths = []
-    users = pos[None, :]
+    positions = np.asarray(positions, dtype=np.float64)
+    h = np.empty(
+        (params.num_bs, len(positions), params.num_subcarriers, params.num_antennas),
+        dtype=np.complex128,
+    )
     for n, bs_xy in enumerate(params.bs_positions):
         bs = np.asarray(bs_xy, dtype=np.float64)
-        if np.linalg.norm(pos - bs) < 0.1:
-            raise ValueError("user position is closer than 0.1 m to a BS")
-        gains, sin_aod, delays, valid, bounces = _path_table(params, bs, users)
-        h[n] = _channel_tensor(params, gains, sin_aod, delays, valid)[0]
-        plist = [
-            Path(
-                gain=complex(gains[0, l]),
-                aod_rad=float(np.arcsin(np.clip(sin_aod[0, l], -1.0, 1.0))),
-                delay_s=float(delays[0, l]),
-                bounces=int(bounces[l]),
-            )
-            for l in range(gains.shape[1])
-            if valid[0, l]
-        ]
-        all_paths.append(tuple(plist))
-    return ChannelRealization(h=h, paths=tuple(all_paths))
+        if np.any(np.linalg.norm(positions - bs, axis=1) < 0.1):
+            raise ValueError("user position closer than 0.1 m to a BS")
+        gains, sin_aod, delays, valid, _ = _path_table(params, bs, positions)
+        h[n] = _channel_tensor(params, gains, sin_aod, delays, valid)
+    return h
 
 
-def achievable_rate(h, beam, snr_linear: float) -> float:
-    """Mean over subcarriers of log2(1 + snr * |h_k^T g|^2); h is (K, M) or (M,)."""
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim == 1:
-        h = h[None, :]
-    g = np.asarray(beam, dtype=np.complex128)
-    if h.ndim != 2 or g.ndim != 1 or h.shape[1] != g.shape[0]:
-        raise ValueError("channel must be (K, M) and beam (M,)")
-    if snr_linear < 0:
-        raise ValueError("snr_linear must be nonnegative")
-    power = np.abs(h @ g) ** 2
-    return float(np.mean(np.log1p(snr_linear * power)) / np.log(2.0))
+def beam_rates(h, codebook: np.ndarray, snr_linear: float) -> np.ndarray:
+    """Rate of every codebook beam for each (K, M) channel of h: (R, beams).
 
-
-def best_beam(h, codebook: Codebook, snr_linear: float) -> Tuple[int, float]:
-    """Exhaustive codebook search; ties resolve to the lowest beam index."""
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim == 1:
-        h = h[None, :]
-    if len(codebook) == 0:
-        raise ValueError("codebook is empty")
-    if h.shape[1] != codebook.vectors.shape[1]:
-        raise ValueError("channel/codebook antenna mismatch")
-    if snr_linear < 0:
-        raise ValueError("snr_linear must be nonnegative")
-    power = np.abs(h @ codebook.vectors.T) ** 2  # (K, beams)
-    rates = np.mean(np.log1p(snr_linear * power), axis=0) / np.log(2.0)
-    idx = int(np.argmax(rates))
-    return idx, float(rates[idx])
-
-
-def pilot_features(chan: ChannelRealization, params: ScenarioParams, rng) -> np.ndarray:
-    """Omni pilot observations as a real feature vector of length 2*K*N.
-
-    The first antenna element plays the omni probe; complex AWGN of variance
-    noise_variance is added per observation. Layout: BS-major, subcarrier-
-    minor, [Re, Im] interleaved per observation.
+    A beam g's rate is the mean over subcarriers of log2(1 + snr |h_k . g|^2).
     """
-    obs = chan.h[:, :, 0]
-    if params.noise_variance > 0.0:
-        scale = np.sqrt(params.noise_variance / 2.0)
-        obs = obs + scale * (
-            rng.standard_normal(obs.shape) + 1j * rng.standard_normal(obs.shape)
-        )
-    flat = obs.reshape(-1)
-    feats = np.empty(2 * flat.size, dtype=np.float64)
-    feats[0::2] = flat.real
-    feats[1::2] = flat.imag
-    return feats
+    if snr_linear < 0:
+        raise ValueError("snr_linear must be nonnegative")
+    power = np.abs(np.einsum("rkm,pm->rkp", h, codebook)) ** 2
+    return np.log1p(snr_linear * power).mean(axis=1) / np.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -428,9 +330,13 @@ def build_dataset(params: ScenarioParams, num_instances: int) -> Dataset:
 
     Every random draw for instance i comes from the child stream keyed by
     (params.seed, i), so the result is a pure function of the params and the
-    instance count. Labels are the per-instance sum over BSs of the best
-    codebook beam's rate, scaled so the dataset maximum lands on 0.9 and the
-    minimum on 0.0; features are z-scored per column over the whole set.
+    instance count. Channels and best-beam rates are computed once per
+    distinct sampled grid point and gathered per instance. Labels are the
+    per-instance sum over BSs of the best codebook beam's rate, scaled so the
+    dataset maximum lands on 0.9 and the minimum on 0.0. Features are the
+    omni pilots (the first antenna element) plus complex AWGN of variance
+    noise_variance, laid out BS-major, subcarrier-minor, [Re, Im] interleaved,
+    and z-scored per column over the whole set.
     """
     if num_instances < 1:
         raise ValueError("num_instances must be >= 1")
@@ -449,26 +355,21 @@ def build_dataset(params: ScenarioParams, num_instances: int) -> Dataset:
             re = child.standard_normal((N, K))
             im = child.standard_normal((N, K))
             noise[i] = scale * (re + 1j * im)
-    positions = grid[idx]
 
+    points, where = np.unique(idx, return_inverse=True)
+    h = channels(params, grid[points])
     codebook = dft_codebook(M, params.codebook_oversampling)
-    feats_raw = np.empty((num_instances, 2 * K * N), dtype=np.float64)
-    label_raw = np.zeros(num_instances, dtype=np.float64)
-    for n, bs_xy in enumerate(params.bs_positions):
-        bs = np.asarray(bs_xy, dtype=np.float64)
-        if np.any(np.linalg.norm(positions - bs, axis=1) < 0.1):
-            raise ValueError("user grid point closer than 0.1 m to a BS")
-        gains, sin_aod, delays, valid, _ = _path_table(params, bs, positions)
-        h_n = _channel_tensor(params, gains, sin_aod, delays, valid)
-        power = np.abs(np.einsum("rkm,pm->rkp", h_n, codebook.vectors)) ** 2
-        rates = np.log1p(params.snr_linear * power).mean(axis=1) / np.log(2.0)
-        label_raw += rates.max(axis=1)
-        first = h_n[:, :, 0]
-        if noise is not None:
-            first = first + noise[:, n, :]
-        block = feats_raw[:, 2 * n * K : 2 * (n + 1) * K]
-        block[:, 0::2] = first.real
-        block[:, 1::2] = first.imag
+    point_label = np.zeros(len(points), dtype=np.float64)
+    for h_n in h:
+        point_label += beam_rates(h_n, codebook, params.snr_linear).max(axis=1)
+    label_raw = point_label[where]
+    obs = h[:, :, :, 0].transpose(1, 0, 2)[where]
+    if noise is not None:
+        obs = obs + noise
+    obs = obs.reshape(num_instances, N * K)
+    feats_raw = np.empty((num_instances, 2 * N * K), dtype=np.float64)
+    feats_raw[:, 0::2] = obs.real
+    feats_raw[:, 1::2] = obs.imag
 
     norm = fit_normalization(feats_raw, label_raw)
     return Dataset(

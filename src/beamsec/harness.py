@@ -271,29 +271,6 @@ def emit_report(summary: Summary, out_dir, fmt: str = "csv") -> List[Path]:
     return written
 
 
-def summary_from_json(path) -> Summary:
-    """Inverse of the JSON report, up to the 6-digit float rendering."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    rows = [
-        SummaryRow(
-            scenario_id=str(r["scenario"]),
-            epsilon=float(r["epsilon"]),
-            mean_mse=float(r["mean_mse"]),
-            std_mse=float(r["std_mse"]),
-            min_mse=float(r["min_mse"]),
-            max_mse=float(r["max_mse"]),
-            n=int(r["n"]),
-        )
-        for r in payload["rows"]
-    ]
-    ratios = {
-        key: {float(eps): float(v) for eps, v in table.items()}
-        for key, table in payload.get("ratios", {}).items()
-    }
-    return Summary(rows=rows, ratios=ratios)
-
-
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build a validated config from a plain JSON document; all fields optional."""
     return config.load(ExperimentConfig, doc)

@@ -7,11 +7,15 @@ paths it checks beyond treating models as black-box callables.
 
 from __future__ import annotations
 
+import cmath
+import json
 import math
 
 import numpy as np
 
 from beamsec import numcore
+from beamsec.channel import SPEED_OF_LIGHT
+from beamsec.harness import Summary, SummaryRow
 
 
 def squared_error(model, x, y) -> float:
@@ -107,6 +111,61 @@ def brute_force_best_beam(h, vectors, snr: float):
         if r > best_rate + 1e-15:
             best_idx, best_rate = p, r
     return best_idx, best_rate
+
+
+def image_method_paths(params, bs, user):
+    """(gain, sin AoD, delay) of the LOS path and of each wall bounce that
+    lands on its wall segment, from plain image-method geometry."""
+    lam = params.carrier_wavelength_m
+    bx, by = bs
+    ux, uy = user
+
+    def gain(d):
+        return lam / (4.0 * math.pi * d) * cmath.exp(-2j * math.pi * d / lam)
+
+    d = math.sqrt((ux - bx) ** 2 + (uy - by) ** 2)
+    paths = [(gain(d), (uy - by) / d, d / SPEED_OF_LIGHT)]
+    if params.max_reflections < 1:
+        return paths
+    for wall in params.walls:
+        wl = math.hypot(wall.x2 - wall.x1, wall.y2 - wall.y1)
+        ex, ey = (wall.x2 - wall.x1) / wl, (wall.y2 - wall.y1) / wl
+
+        def along(px, py):
+            return (px - wall.x1) * ex + (py - wall.y1) * ey
+
+        def offset(px, py):  # signed distance from the wall's line
+            return (py - wall.y1) * ex - (px - wall.x1) * ey
+
+        side_bs, side_user = offset(bx, by), offset(ux, uy)
+        if side_bs * side_user <= 0.0:
+            continue
+        ix = wall.x1 + along(bx, by) * ex + side_bs * ey
+        iy = wall.y1 + along(bx, by) * ey - side_bs * ex
+        t = side_bs / (side_bs + side_user)  # where image -> user meets the line
+        px, py = ix + t * (ux - ix), iy + t * (uy - iy)
+        if not 0.0 <= along(px, py) <= wl:
+            continue
+        length = math.sqrt((ux - ix) ** 2 + (uy - iy) ** 2)
+        leg = math.sqrt((px - bx) ** 2 + (py - by) ** 2)
+        paths.append(
+            (params.reflection_coeff * gain(length), (py - by) / leg, length / SPEED_OF_LIGHT)
+        )
+    return paths
+
+
+def image_method_channel(params, user) -> np.ndarray:
+    """h[n, k, m] at one user position: for every path, gain times
+    subcarrier phase exp(-j 2 pi k tau B / K) times steering exp(j pi m sin)."""
+    K, M = params.num_subcarriers, params.num_antennas
+    h = np.zeros((params.num_bs, K, M), dtype=np.complex128)
+    for n, bs in enumerate(params.bs_positions):
+        for gain, sin_aod, delay in image_method_paths(params, bs, user):
+            for k in range(K):
+                phase = cmath.exp(-2j * math.pi * k * delay * params.bandwidth_hz / K)
+                for m in range(M):
+                    h[n, k, m] += gain * phase * cmath.exp(1j * math.pi * m * sin_aod)
+    return h
 
 
 def rankdata(values) -> np.ndarray:
@@ -260,3 +319,26 @@ def reference_train(model, data, cfg, rng):
                     raise numcore.NumericalError(f"non-finite parameters in layer {i}")
         history.append(float(np.mean(losses)))
     return model, history
+
+
+def summary_from_json(path) -> Summary:
+    """Inverse of the JSON report, up to the 6-digit float rendering."""
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    rows = [
+        SummaryRow(
+            scenario_id=str(r["scenario"]),
+            epsilon=float(r["epsilon"]),
+            mean_mse=float(r["mean_mse"]),
+            std_mse=float(r["std_mse"]),
+            min_mse=float(r["min_mse"]),
+            max_mse=float(r["max_mse"]),
+            n=int(r["n"]),
+        )
+        for r in payload["rows"]
+    ]
+    ratios = {
+        key: {float(eps): float(v) for eps, v in table.items()}
+        for key, table in payload.get("ratios", {}).items()
+    }
+    return Summary(rows=rows, ratios=ratios)

@@ -1,4 +1,4 @@
-"""Channel model tests: steering, codebook, image-method paths, rates, datasets."""
+"""Channel model tests: codebook, image-method paths, rates, datasets."""
 
 from __future__ import annotations
 
@@ -14,60 +14,77 @@ import oracles
 from beamsec import channel
 from beamsec.channel import (
     SPEED_OF_LIGHT,
-    Codebook,
     ScenarioParams,
     UserGrid,
     Wall,
-    achievable_rate,
-    best_beam,
+    beam_rates,
     build_dataset,
+    channels,
     default_scenario,
     dataset_to_csv,
     dft_codebook,
-    generate_channels,
     load_dataset,
-    pilot_features,
     save_dataset,
     split_dataset,
-    steering_vector,
 )
 from beamsec.framing import FormatError
+
+ORIGIN = np.zeros(2)
 
 
 def los_only(params: ScenarioParams) -> ScenarioParams:
     return replace(params, max_reflections=0)
 
 
-# ----------------------------------------------------------- steering vector
+def two_bs(params: ScenarioParams) -> ScenarioParams:
+    return replace(params, num_bs=2, bs_positions=((0.0, 0.0), (9.0, 1.0)))
+
+
+def one_point(params: ScenarioParams, x: float, y: float) -> ScenarioParams:
+    """The scenario with its user grid shrunk to the single point (x, y)."""
+    return replace(params, user_grid=UserGrid(x, x, y, y, 1.0))
+
+
+def path_table(params: ScenarioParams, user):
+    """Per-path gains, sin(AoD), delays and bounce counts of the valid paths
+    from the BS at the origin to one user position."""
+    gains, sin_aod, delays, valid, bounces = channel._path_table(
+        params, ORIGIN, np.asarray([user], dtype=np.float64)
+    )
+    keep = valid[0]
+    return gains[0, keep], sin_aod[0, keep], delays[0, keep], bounces[keep]
+
+
+def rates(h, codebook, snr):
+    """beam_rates of one (K, M) channel: the rate of every codebook row."""
+    return beam_rates(np.asarray(h)[None], np.atleast_2d(codebook), snr)[0]
+
+
+# --------------------------------------------------- steering and codebook
 
 
 def test_steering_vector_closed_forms():
-    v = steering_vector(0.0, 4)
-    assert np.allclose(v, np.full(4, 0.5 + 0j), atol=1e-15)
-    assert np.allclose(steering_vector(1.234, 1), [1.0 + 0j], atol=1e-15)
-    v2 = steering_vector(math.pi / 6, 2)
+    # rows of the codebook are ULA steering vectors at sin = -1 + 2p/beams
+    assert np.allclose(dft_codebook(4, 1)[2], np.full(4, 0.5 + 0j), atol=1e-15)
+    assert np.allclose(dft_codebook(1, 1)[0], [1.0 + 0j], atol=1e-15)
+    # sin = 0.5 is pi/6 off broadside
+    v2 = dft_codebook(2, 2)[3]
     assert np.allclose(v2, [1 / math.sqrt(2), 1j / math.sqrt(2)], atol=1e-12)
 
 
 def test_steering_vector_unit_norm():
     rng = np.random.default_rng(1)
     for _ in range(20):
-        m = int(rng.integers(1, 33))
-        angle = float(rng.uniform(-math.pi / 2, math.pi / 2))
-        v = steering_vector(angle, m)
-        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        steering_vector(0.0, 0)
-
-
-# ----------------------------------------------------------------- codebook
+        m, ov = int(rng.integers(1, 33)), int(rng.integers(1, 4))
+        norms = np.linalg.norm(dft_codebook(m, ov), axis=1)
+        assert np.max(np.abs(norms - 1.0)) < 1e-12
 
 
 def test_codebook_degenerate_and_counts():
     cb = dft_codebook(1, 1)
-    assert cb.vectors.shape == (1, 1)
-    assert cb.vectors[0, 0] == pytest.approx(1.0 + 0j, abs=1e-15)
-    assert len(dft_codebook(4, 2)) == 8
+    assert cb.shape == (1, 1)
+    assert cb[0, 0] == pytest.approx(1.0 + 0j, abs=1e-15)
+    assert dft_codebook(4, 2).shape[0] == 8
     with pytest.raises(ValueError):
         dft_codebook(0, 1)
     with pytest.raises(ValueError):
@@ -76,7 +93,7 @@ def test_codebook_degenerate_and_counts():
 
 def test_codebook_orthogonality_without_oversampling():
     cb = dft_codebook(4, 1)
-    gram = cb.vectors @ cb.vectors.conj().T
+    gram = cb @ cb.conj().T
     off = gram - np.diag(np.diag(gram))
     assert np.max(np.abs(off)) < 1e-12
 
@@ -84,11 +101,13 @@ def test_codebook_orthogonality_without_oversampling():
 def test_codebook_unit_modulus_and_norm():
     for m, ov in ((16, 2), (8, 1), (5, 3)):
         cb = dft_codebook(m, ov)
-        assert cb.vectors.shape == (m * ov, m)
-        assert np.max(np.abs(np.abs(cb.vectors) - 1.0 / math.sqrt(m))) < 1e-12
-        norms = np.linalg.norm(cb.vectors, axis=1)
+        assert cb.shape == (m * ov, m)
+        assert np.max(np.abs(np.abs(cb) - 1.0 / math.sqrt(m))) < 1e-12
+        norms = np.linalg.norm(cb, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-12
-        assert np.allclose(np.sin(cb.angles), -1.0 + 2.0 * np.arange(m * ov) / (m * ov))
+        sines = -1.0 + 2.0 * np.arange(m * ov) / (m * ov)
+        steer = np.exp(1j * np.pi * np.outer(sines, np.arange(m))) / math.sqrt(m)
+        assert np.allclose(cb, steer, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------- channel geometry
@@ -96,54 +115,51 @@ def test_codebook_unit_modulus_and_norm():
 
 def test_los_single_path_and_inverse_distance(tiny_scenario):
     params = los_only(tiny_scenario)
-    near = generate_channels(params, (2.0, 0.0))
-    far = generate_channels(params, (4.0, 0.0))
-    assert len(near.paths[0]) == 1
-    assert near.paths[0][0].bounces == 0
+    gains, _, _, bounces = path_table(params, (2.0, 0.0))
+    assert gains.shape == (1,)
+    assert bounces.tolist() == [0]
+    near, far = channels(params, [(2.0, 0.0), (4.0, 0.0)])[0]
     # doubling the distance halves every |h| entry
-    ratio = np.abs(near.h) / np.abs(far.h)
+    ratio = np.abs(near) / np.abs(far)
     assert np.allclose(ratio, 2.0, atol=1e-9)
 
 
 def test_los_gain_closed_form(tiny_scenario):
     params = los_only(tiny_scenario)
     d = 3.0
-    chan = generate_channels(params, (d, 0.0))
-    alpha = chan.paths[0][0].gain
+    gains, _, delays, _ = path_table(params, (d, 0.0))
     lam = params.carrier_wavelength_m
     expect = (lam / (4 * math.pi * d)) * np.exp(-2j * math.pi * d / lam)
-    assert alpha == pytest.approx(expect, abs=1e-15)
-    assert chan.paths[0][0].delay_s == pytest.approx(d / SPEED_OF_LIGHT, abs=1e-20)
+    assert gains[0] == pytest.approx(expect, abs=1e-15)
+    assert delays[0] == pytest.approx(d / SPEED_OF_LIGHT, abs=1e-20)
 
 
 def test_subcarrier_phase_progression(tiny_scenario):
     # one path, K=2: h at k=1 is h at k=0 rotated by exp(-j 2 pi tau B / K)
     params = replace(los_only(tiny_scenario), num_subcarriers=2)
-    chan = generate_channels(params, (2.5, 1.0))
-    tau = chan.paths[0][0].delay_s
-    rot = np.exp(-2j * np.pi * tau * params.bandwidth_hz / 2)
-    assert np.allclose(chan.h[0, 1], chan.h[0, 0] * rot, rtol=1e-10, atol=0.0)
+    _, _, delays, _ = path_table(params, (2.5, 1.0))
+    h = channels(params, [(2.5, 1.0)])[0, 0]
+    rot = np.exp(-2j * np.pi * delays[0] * params.bandwidth_hz / 2)
+    assert np.allclose(h[1], h[0] * rot, rtol=1e-10, atol=0.0)
 
 
 def test_bounce_paths_present_and_ordered(tiny_scenario):
-    chan = generate_channels(tiny_scenario, (2.0, 0.5))
-    paths = chan.paths[0]
-    assert len(paths) == 3  # LOS plus one bounce per wall
-    assert sorted(p.bounces for p in paths) == [0, 1, 1]
-    los = min(paths, key=lambda p: p.delay_s)
-    assert los.bounces == 0
-    for p in paths:
-        assert -math.pi / 2 < p.aod_rad < math.pi / 2
-        if p.bounces == 1:
-            # longer path plus reflection loss means strictly weaker gain
-            assert abs(p.gain) < abs(los.gain)
-            assert p.delay_s > los.delay_s
+    gains, sin_aod, delays, bounces = path_table(tiny_scenario, (2.0, 0.5))
+    assert gains.shape == (3,)  # LOS plus one bounce per wall
+    assert sorted(bounces.tolist()) == [0, 1, 1]
+    los = int(np.argmin(delays))
+    assert bounces[los] == 0
+    assert np.all(np.abs(sin_aod) < 1.0)
+    for p in np.flatnonzero(bounces == 1):
+        # longer path plus reflection loss means strictly weaker gain
+        assert abs(gains[p]) < abs(gains[los])
+        assert delays[p] > delays[los]
 
 
 def test_bounce_gain_matches_image_length(tiny_scenario):
     params = tiny_scenario
     pos = np.array([2.0, 0.5])
-    chan = generate_channels(params, pos)
+    gains, _, delays, bounces = path_table(params, pos)
     lam = params.carrier_wavelength_m
     for wall in params.walls:
         image = np.array([0.0, 2 * wall.y1])  # BS at origin mirrored across y=wall
@@ -151,35 +167,35 @@ def test_bounce_gain_matches_image_length(tiny_scenario):
         expect = params.reflection_coeff * (lam / (4 * math.pi * length)) * np.exp(
             -2j * math.pi * length / lam
         )
-        hit = [p for p in chan.paths[0] if p.bounces == 1 and
-               p.delay_s == pytest.approx(length / SPEED_OF_LIGHT, abs=1e-18)]
+        hit = [
+            p for p in np.flatnonzero(bounces == 1)
+            if delays[p] == pytest.approx(length / SPEED_OF_LIGHT, abs=1e-18)
+        ]
         assert len(hit) == 1
-        assert hit[0].gain == pytest.approx(expect, abs=1e-15)
+        assert gains[hit[0]] == pytest.approx(expect, abs=1e-15)
 
 
-def test_channel_tensor_is_sum_of_path_responses(tiny_scenario):
-    params = tiny_scenario
-    chan = generate_channels(params, (3.0, -1.0))
-    K, M = params.num_subcarriers, params.num_antennas
-    expect = np.zeros((K, M), dtype=np.complex128)
-    for p in chan.paths[0]:
-        steer = np.exp(1j * np.pi * np.arange(M) * math.sin(p.aod_rad))
-        for k in range(K):
-            phase = np.exp(-2j * np.pi * k * p.delay_s * params.bandwidth_hz / K)
-            expect[k] += p.gain * phase * steer
-    assert np.allclose(chan.h[0], expect, atol=1e-16)
+def test_channel_tensor_is_sum_of_path_responses():
+    """channels agrees with the loop-based image method on 300 grid points of
+    the default scenario, its LOS-only variant and a 2-BS variant.
+
+    The carrier phase 2 pi d / lambda reaches ~5,000 rad on this grid, where
+    one float64 ulp is 9.1e-13, so two correct evaluations can differ by
+    that much relative to |h|; the bound sits just above it.
+    """
+    for params in (default_scenario(), los_only(default_scenario()), two_bs(default_scenario())):
+        grid = params.user_grid.points()
+        pts = grid[np.random.default_rng(3).choice(grid.shape[0], 300, replace=False)]
+        h = channels(params, pts)
+        assert h.shape == (params.num_bs, 300, params.num_subcarriers, params.num_antennas)
+        for r, pos in enumerate(pts):
+            ref = oracles.image_method_channel(params, pos)
+            assert np.max(np.abs(h[:, r] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_generate_channels_rejects_bad_positions(tiny_scenario):
-    with pytest.raises(ValueError):
-        generate_channels(tiny_scenario, (100.0, 0.0))  # outside grid
-    close = replace(
-        tiny_scenario, user_grid=UserGrid(0.0, 4.0, -1.5, 1.5, 0.25)
-    )
-    with pytest.raises(ValueError):
-        generate_channels(close, (0.05, 0.0))  # closer than 0.1 m to the BS
-    with pytest.raises(ValueError):
-        generate_channels(tiny_scenario, (1.0, 2.0, 3.0))
+def test_build_dataset_rejects_grid_point_near_bs(tiny_scenario):
+    with pytest.raises(ValueError, match="closer than 0.1 m"):
+        build_dataset(one_point(tiny_scenario, 0.05, 0.0), 10)
 
 
 # -------------------------------------------------------------------- rates
@@ -187,17 +203,17 @@ def test_generate_channels_rejects_bad_positions(tiny_scenario):
 
 def test_achievable_rate_closed_forms():
     g = np.array([1.0 + 0j])
-    assert achievable_rate(np.array([[1.0 + 0j]]), g, 0.0) == 0.0
-    assert achievable_rate(np.array([[1.0 + 0j]]), g, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert rates(np.array([[1.0 + 0j]]), g, 0.0)[0] == 0.0
+    assert rates(np.array([[1.0 + 0j]]), g, 1.0)[0] == pytest.approx(1.0, abs=1e-12)
     h2 = np.array([[1.0 + 0j], [math.sqrt(3.0) + 0j]])
-    assert achievable_rate(h2, g, 1.0) == pytest.approx(1.5, abs=1e-12)
+    assert rates(h2, g, 1.0)[0] == pytest.approx(1.5, abs=1e-12)
 
 
 def test_achievable_rate_validation():
     with pytest.raises(ValueError):
-        achievable_rate(np.ones((2, 3), dtype=complex), np.ones(4, dtype=complex), 1.0)
+        rates(np.ones((2, 3), dtype=complex), np.ones(4, dtype=complex), 1.0)
     with pytest.raises(ValueError):
-        achievable_rate(np.ones((2, 3), dtype=complex), np.ones(3, dtype=complex), -1.0)
+        rates(np.ones((2, 3), dtype=complex), np.ones(3, dtype=complex), -1.0)
 
 
 def test_rate_matches_reference_and_snr_monotone():
@@ -207,21 +223,19 @@ def test_rate_matches_reference_and_snr_monotone():
         h = rng.normal(size=(K, M)) + 1j * rng.normal(size=(K, M))
         g = rng.normal(size=M) + 1j * rng.normal(size=M)
         snrs = np.sort(rng.uniform(0.0, 20.0, size=5))
-        rates = [achievable_rate(h, g, s) for s in snrs]
-        assert rates == sorted(rates)
-        assert rates[-1] == pytest.approx(
-            oracles.reference_rate(h, g, snrs[-1]), rel=1e-12
-        )
+        rs = [rates(h, g, s)[0] for s in snrs]
+        assert rs == sorted(rs)
+        assert rs[-1] == pytest.approx(oracles.reference_rate(h, g, snrs[-1]), rel=1e-12)
 
 
 def test_rate_invariant_under_global_phase():
     rng = np.random.default_rng(9)
     h = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
-    g = steering_vector(0.2, 8)
-    base = achievable_rate(h, g, 10.0)
+    cb = dft_codebook(8, 2)
+    base = rates(h, cb, 10.0)
     for theta in rng.uniform(0, 2 * math.pi, size=10):
-        spun = achievable_rate(h * np.exp(1j * theta), g, 10.0)
-        assert spun == pytest.approx(base, abs=1e-12)
+        spun = rates(h * np.exp(1j * theta), cb, 10.0)
+        assert np.allclose(spun, base, rtol=0.0, atol=1e-12)
 
 
 def test_best_beam_brute_force_and_ties():
@@ -229,65 +243,94 @@ def test_best_beam_brute_force_and_ties():
     cb = dft_codebook(8, 2)
     for _ in range(50):
         h = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
-        idx, rate = best_beam(h, cb, 10.0)
-        ref_idx, ref_rate = oracles.brute_force_best_beam(h, cb.vectors, 10.0)
-        assert idx == ref_idx
-        assert rate == pytest.approx(ref_rate, rel=1e-12)
+        rs = rates(h, cb, 10.0)
+        ref_idx, ref_rate = oracles.brute_force_best_beam(h, cb, 10.0)
+        assert int(np.argmax(rs)) == ref_idx
+        assert rs.max() == pytest.approx(ref_rate, rel=1e-12)
     # all-zero channel rates tie at 0; lowest index must win
-    idx, rate = best_beam(np.zeros((2, 8), dtype=complex), cb, 10.0)
-    assert (idx, rate) == (0, 0.0)
-    single = Codebook(vectors=np.ones((1, 8), dtype=complex) / math.sqrt(8), angles=np.zeros(1))
-    assert best_beam(np.ones((2, 8), dtype=complex), single, 1.0)[0] == 0
+    rs = rates(np.zeros((2, 8), dtype=complex), cb, 10.0)
+    assert (int(np.argmax(rs)), rs.max()) == (0, 0.0)
+    single = np.ones((1, 8), dtype=complex) / math.sqrt(8)
+    assert rates(np.ones((2, 8), dtype=complex), single, 1.0).shape == (1,)
 
 
 def test_best_beam_prefers_matched_steering():
     cb = dft_codebook(16, 2)
     for p in (0, 7, 21, 31):
         # channel aligned with beam p: conjugate steering, flat over subcarriers
-        h = np.conj(cb.vectors[p])[None, :].repeat(4, axis=0) * 16
-        idx, _ = best_beam(h, cb, 10.0)
-        assert idx == p
+        h = np.conj(cb[p])[None, :].repeat(4, axis=0) * 16
+        assert int(np.argmax(rates(h, cb, 10.0))) == p
 
 
 # ------------------------------------------------------------ pilot features
 
 
 def test_pilot_features_noiseless_matches_channel(tiny_scenario):
-    params = replace(tiny_scenario, noise_variance=0.0)
-    chan = generate_channels(params, (2.0, 0.0))
-    feats = pilot_features(chan, params, np.random.default_rng(0))
-    K = params.num_subcarriers
-    assert feats.shape == (2 * K,)
-    assert np.array_equal(feats[0::2], chan.h[0, :, 0].real)
-    assert np.array_equal(feats[1::2], chan.h[0, :, 0].imag)
+    """Noiseless raw features are each instance's first-antenna channel, and
+    raw labels the brute-force best-beam rate summed over the BSs, at the
+    grid point each instance's own stream draws."""
+    for params in (tiny_scenario, two_bs(default_scenario())):
+        params = replace(params, noise_variance=0.0)
+        n = 60
+        ds = build_dataset(params, n)
+        grid = params.user_grid.points()
+        cb = dft_codebook(params.num_antennas, params.codebook_oversampling)
+        feats = np.empty((n, 2 * params.num_bs * params.num_subcarriers))
+        labels = np.empty(n)
+        for i in range(n):
+            g = np.random.default_rng([params.seed, i]).integers(0, grid.shape[0])
+            h = oracles.image_method_channel(params, grid[g])
+            feats[i, 0::2] = h[:, :, 0].real.ravel()
+            feats[i, 1::2] = h[:, :, 0].imag.ravel()
+            labels[i] = sum(
+                oracles.brute_force_best_beam(h_n, cb, params.snr_linear)[1] for h_n in h
+            )
+        raw_X = ds.norm_meta.denormalize_features(ds.features)
+        raw_y = ds.norm_meta.denormalize_labels(ds.labels)
+        scale = np.max(np.abs(feats))
+        assert np.max(np.abs(raw_X - feats)) <= 1e-9 * scale
+        assert np.allclose(raw_y, labels, rtol=1e-9, atol=0.0)
 
 
 def test_pilot_feature_length_counts(tiny_scenario):
     params = replace(tiny_scenario, num_subcarriers=2)
-    chan = generate_channels(params, (2.0, 0.0))
-    assert pilot_features(chan, params, np.random.default_rng(0)).shape == (4,)
+    assert build_dataset(params, 3).num_features == 4
+    assert build_dataset(two_bs(params), 3).num_features == 8
 
 
 def test_pilot_noise_variance_monte_carlo(tiny_scenario):
     sigma2 = 1e-8
-    params = replace(tiny_scenario, noise_variance=sigma2)
-    chan = generate_channels(params, (2.0, 0.0))
-    base = pilot_features(chan, replace(params, noise_variance=0.0), np.random.default_rng(0))
-    rng = np.random.default_rng(2)
-    draws = np.stack([pilot_features(chan, params, rng) - base for _ in range(10_000)])
-    var = draws.var(axis=0)
-    assert np.allclose(var, sigma2 / 2.0, rtol=0.08)
+    params = one_point(replace(tiny_scenario, noise_variance=sigma2), 2.0, 0.0)
+    ds = build_dataset(params, 10_000)
+    raw = ds.norm_meta.denormalize_features(ds.features)
+    assert np.allclose(raw.var(axis=0), sigma2 / 2.0, rtol=0.08)
+
+
+def test_build_dataset_computes_each_grid_point_once(monkeypatch):
+    """The channel tensor is built for the distinct sampled grid points, not
+    once per instance: 12,500 draws land on at most the 1,116 grid points."""
+    rows = []
+    tensor = channel._channel_tensor
+
+    def counted(params, gains, *rest):
+        rows.append(gains.shape[0])
+        return tensor(params, gains, *rest)
+
+    monkeypatch.setattr(channel, "_channel_tensor", counted)
+    params = default_scenario()
+    build_dataset(params, 12_500)
+    assert len(rows) == params.num_bs
+    assert max(rows) <= params.user_grid.points().shape[0] == 1116
 
 
 # ------------------------------------------------------------------ datasets
 
 
-def test_user_grid_points_and_contains():
+def test_user_grid_points_and_validation():
     grid = UserGrid(0.0, 1.0, 0.0, 0.5, 0.5)
     pts = grid.points()
     assert pts.shape == (6, 2)
-    assert grid.contains((0.5, 0.25))
-    assert not grid.contains((1.5, 0.0))
+    assert pts.tolist()[:3] == [[0.0, 0.0], [0.0, 0.5], [0.5, 0.0]]
     with pytest.raises(ValueError):
         UserGrid(1.0, 0.0, 0.0, 1.0, 0.5)
     with pytest.raises(ValueError):

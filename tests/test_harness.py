@@ -25,8 +25,8 @@ from beamsec.harness import (
     load_config,
     run_experiment,
     summarize,
-    summary_from_json,
 )
+from oracles import summary_from_json
 
 
 def tiny_config(tiny_scenario, **kw) -> ExperimentConfig:

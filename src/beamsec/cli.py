@@ -170,10 +170,12 @@ def run(config, seed, reps, eps, out, fmt):
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     result.to_csv(out_dir / "results.csv")
+    harness.write_manifest(cfg, out_dir / "manifest.json")
     result.timings_to_csv(out_dir / "timings.csv")
     summary = harness.summarize(result)
     written = harness.emit_report(summary, out_dir, fmt)
     click.echo(f"wrote {out_dir / 'results.csv'}")
+    click.echo(f"wrote {out_dir / 'manifest.json'}")
     for path in written:
         click.echo(f"wrote {path}")
     for row in summary.rows:

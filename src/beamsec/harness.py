@@ -10,6 +10,9 @@ base_seed + r, so results are reproducible byte for byte.
 from __future__ import annotations
 
 import json
+import math
+import os
+import platform
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -17,7 +20,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from . import config, numcore
+from . import __version__, config, numcore
 from .attack import AttackConfig, attack_dataset
 from .channel import (
     ScenarioParams,
@@ -28,6 +31,7 @@ from .channel import (
 )
 from .config import ConfigError
 from .defense import DefenseConfig, adversarial_train
+from .framing import FormatError
 
 SC1 = "SC1"
 SC2 = "SC2"
@@ -35,6 +39,7 @@ SC3 = "SC3"
 
 DEFAULT_ATTACK_GRID = tuple(round(0.01 * i, 2) for i in range(1, 11))
 
+RESULTS_HEADER = "scenario,epsilon,repetition,mse"
 SUMMARY_HEADER = "scenario,epsilon,mean_mse,std_mse,min_mse,max_mse,n"
 
 _SEED_SALT = 0xB5EC  # keeps harness child streams apart from dataset streams
@@ -83,7 +88,7 @@ class ExperimentResult:
     def to_csv(self, path) -> None:
         """Deterministic result table; wall times go to timings_to_csv instead."""
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("scenario,epsilon,repetition,mse\n")
+            fh.write(RESULTS_HEADER + "\n")
             for r in self.rows:
                 fh.write(f"{r.scenario_id},{r.epsilon:.6g},{r.repetition},{r.mse:.12g}\n")
 
@@ -97,17 +102,28 @@ class ExperimentResult:
 
     @staticmethod
     def from_csv(path) -> "ExperimentResult":
+        """Read a results.csv; a malformed one raises framing.FormatError
+        naming the file and line."""
         rows = []
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
-            if header != "scenario,epsilon,repetition,mse":
-                raise ValueError(f"unexpected results header: {header!r}")
-            for line in fh:
+            if header != RESULTS_HEADER:
+                raise FormatError(f"{path}:1: expected header {RESULTS_HEADER!r}, got {header!r}")
+            for number, line in enumerate(fh, start=2):
                 line = line.strip()
                 if not line:
                     continue
-                sc, eps, rep, mse = line.split(",")
-                rows.append(ResultRow(sc, float(eps), int(rep), float(mse), 0.0))
+                fields = line.split(",")
+                if len(fields) != 4:
+                    raise FormatError(f"{path}:{number}: expected 4 fields, got {len(fields)}")
+                sc, eps, rep, mse = fields
+                try:
+                    row = ResultRow(sc, float(eps), int(rep), float(mse), 0.0)
+                except ValueError as exc:
+                    raise FormatError(f"{path}:{number}: {exc}") from None
+                if not (math.isfinite(row.epsilon) and math.isfinite(row.mse)):
+                    raise FormatError(f"{path}:{number}: non-finite number in {line!r}")
+                rows.append(row)
         return ExperimentResult(rows=rows)
 
 
@@ -281,6 +297,29 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     doc["scenario"] = scenario_to_dict(cfg.scenario)
     doc["attack_grid"] = list(cfg.attack_grid)
     return doc
+
+
+def write_manifest(cfg: ExperimentConfig, path) -> None:
+    """manifest.json of a run: its resolved config and what the result bits
+    also depend on, the numpy build's BLAS and its thread settings (null
+    when unset)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict form
+        blas = {}
+    manifest = {
+        "config": config_to_dict(cfg),
+        "versions": {
+            "beamsec": __version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+        },
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "env": {key: os.environ.get(key) for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def load_config(path=None) -> ExperimentConfig:

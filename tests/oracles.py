@@ -238,6 +238,19 @@ def linf_multistep_attack(model, X, y, epsilon: float, steps: int = 20) -> np.nd
     return X_adv
 
 
+def full_batch_predict(model, X) -> np.ndarray:
+    """numcore.predict as one inference pass over all rows at once."""
+    preds, _ = numcore._forward_batch(model, np.asarray(X, dtype=np.float64))
+    return preds
+
+
+def full_batch_input_gradients(model, X, y) -> np.ndarray:
+    """numcore.input_gradients as one forward and one backward pass over all rows."""
+    preds, ws = numcore._forward_batch(model, np.asarray(X, dtype=np.float64))
+    dout = 2.0 * (preds - np.asarray(y, dtype=np.float64))
+    return numcore._backward_batch(model, ws, dout, need_input_grads=True)
+
+
 def _reference_forward(model, X, rng=None):
     """The stack on a batch, allocating every intermediate; dropout masks are
     drawn from rng exactly as numcore draws them in train mode."""

@@ -283,3 +283,48 @@ def test_numerical_failure_exits_4(runner, tmp_path, tiny_config_path):
     )
     assert result.exit_code == 4
     assert "numerical failure" in result.output
+
+
+def test_run_manifest_round_trips_the_config(runner, tmp_path, tiny_config_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    out = tmp_path / "sweep"
+    result = runner.invoke(
+        cli.main, ["run", "--config", str(tiny_config_path), "--eps", "0.1", "--out", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == {"config", "versions", "blas", "env"}
+    cfg = harness.config_from_dict(manifest["config"])
+    assert config_to_dict(cfg) == manifest["config"]
+    assert cfg.attack_grid == (0.1,) and cfg.output_dir == str(out)
+    assert cfg.scenario == harness.load_config(tiny_config_path).scenario
+    assert manifest["versions"]["numpy"] == np.__version__
+    assert set(manifest["versions"]) == {"beamsec", "numpy", "python"}
+    assert set(manifest["blas"]) == {"name", "version"}
+    assert manifest["env"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("SC1,0,0", r"results\.csv:3: expected 4 fields, got 3"),
+        ("SC1,0,1,nan", r"results\.csv:3: non-finite"),
+        ("SC1,0,1,0.5x", r"results\.csv:3: could not convert"),
+    ],
+)
+def test_malformed_results_csv_exits_3(runner, tmp_path, line, message):
+    path = tmp_path / "results.csv"
+    path.write_text(f"scenario,epsilon,repetition,mse\nSC1,0,0,0.01\n{line}\n")
+    result = runner.invoke(cli.main, ["report", "--results", str(path), "--out", str(tmp_path / "r")])
+    assert result.exit_code == 3, result.output
+    assert re.search("format error: .*" + message, result.output), result.output
+    assert not (tmp_path / "r" / "summary.csv").exists()
+
+
+def test_results_csv_with_bad_header_exits_3(runner, tmp_path):
+    path = tmp_path / "results.csv"
+    path.write_text("scenario,epsilon,mse\nSC1,0,0.01\n")
+    result = runner.invoke(cli.main, ["report", "--results", str(path), "--out", str(tmp_path / "r")])
+    assert result.exit_code == 3, result.output
+    assert re.search(r"format error: .*results\.csv:1: expected header", result.output)

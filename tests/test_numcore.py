@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,6 +214,55 @@ def test_input_gradients_match_backward_per_row():
     for i in range(8):
         _, single = row_gradients(model, X[i], y[i])
         assert np.allclose(grads[i], single, atol=1e-12)
+
+
+BLOCK_EDGE_ROWS = (0, 1, 511, 512, 513, 1023, 1024, 1025, 1537, 2500, 10000)
+
+
+@pytest.mark.parametrize("which", ["tiny_trained", "fresh_16"])
+def test_blocked_passes_equal_full_batch_bit_for_bit(which, tiny_trained):
+    """predict and input_gradients run 512-row blocks, the remainder folded
+    into the last block; their bits equal one pass over all rows.
+
+    The equality is a property of this block layout on the BLAS the suite
+    runs on (OpenBLAS 0.3.31): every block keeps at least 512 rows, so the
+    matrix products take the same kernels as the one-pass product. Short
+    blocks (a trailing 64-row block, or 64- or 100-row blocks throughout)
+    change the last bits.
+    """
+    model = tiny_trained.model if which == "tiny_trained" else numcore.init_model(16, 21)
+    rng = np.random.default_rng(17)
+    for n in BLOCK_EDGE_ROWS:
+        X = rng.normal(size=(n, model.input_dim))
+        y = rng.uniform(-0.9, 0.9, size=n)
+        preds = numcore.predict(model, X)
+        grads = numcore.input_gradients(model, X, y)
+        assert preds.shape == (n,) and grads.shape == (n, model.input_dim)
+        assert np.array_equal(preds, oracles.full_batch_predict(model, X)), n
+        assert np.array_equal(grads, oracles.full_batch_input_gradients(model, X, y)), n
+
+
+def test_blocked_passes_peak_memory():
+    """On 40,000 rows the passes hold one block's buffers, not full-batch
+    ones. One pass over all rows peaks at 183.7 MiB (input_gradients) and
+    91.9 MiB (predict); the gradient output alone is 4.9 MiB."""
+    model = numcore.init_model(16, 3)
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(40000, 16))
+    y = rng.uniform(-0.9, 0.9, size=40000)
+    peaks = {}
+    for name, call in (
+        ("input_gradients", lambda: numcore.input_gradients(model, X, y)),
+        ("predict", lambda: numcore.predict(model, X)),
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    assert peaks["input_gradients"] <= 16.0, peaks
+    assert peaks["predict"] <= 8.0, peaks
 
 
 # ----------------------------------------------------------------- adam_step

@@ -26,6 +26,23 @@ _MAGIC = b"BMDS1"
 
 _LABEL_CAP = 0.9
 
+# Block sizes, in instances, distinct grid points and CSV rows: each bounds
+# the memory one step of build_dataset or dataset_to_csv holds at once.
+_DRAW_BLOCK = 1024
+_POINT_BLOCK = 256
+_CSV_BLOCK = 4096
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64
+# seeding, which NEP 19 keeps stable: instance i's stream default_rng([seed, i])
+# is rebuilt from these without constructing a SeedSequence per instance.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
 
 @dataclass(frozen=True)
 class UserGrid:
@@ -266,10 +283,22 @@ class NormMeta:
     label_cap: float = _LABEL_CAP
 
     def normalize_features(self, raw) -> np.ndarray:
-        return (np.asarray(raw, dtype=np.float64) - self.feature_mean) / self.feature_std
+        return self._normalize_features_(np.array(raw, dtype=np.float64))
 
     def denormalize_features(self, z) -> np.ndarray:
-        return np.asarray(z, dtype=np.float64) * self.feature_std + self.feature_mean
+        return self._denormalize_features_(np.array(z, dtype=np.float64))
+
+    def _normalize_features_(self, X: np.ndarray) -> np.ndarray:
+        """normalize_features applied to the float64 array X in place."""
+        X -= self.feature_mean
+        X /= self.feature_std
+        return X
+
+    def _denormalize_features_(self, X: np.ndarray) -> np.ndarray:
+        """denormalize_features applied to the float64 array X in place."""
+        X *= self.feature_std
+        X += self.feature_mean
+        return X
 
     def normalize_labels(self, raw) -> np.ndarray:
         raw = np.asarray(raw, dtype=np.float64)
@@ -325,6 +354,82 @@ class Dataset:
         return self.features.shape[1]
 
 
+def _hashmix(value, hash_const: int):
+    value = value ^ np.uint32(hash_const)
+    hash_const = hash_const * _MULT_A & _MASK32
+    value = value * np.uint32(hash_const)
+    return value ^ (value >> np.uint32(16)), hash_const
+
+
+def _mix(x, y):
+    out = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return out ^ (out >> np.uint32(16))
+
+
+def _seed_states(seed: int, counters: np.ndarray) -> np.ndarray:
+    """SeedSequence([seed, i]).generate_state(4, np.uint64) for every i in
+    `counters` (each below 2**32), hashed at once: a (len(counters), 4)
+    uint64 array. The entropy is the seed's 32-bit words, least significant
+    first, then i's one word."""
+    n = len(counters)
+    entropy = []
+    while True:
+        entropy.append(np.full(n, seed & _MASK32, dtype=np.uint32))
+        seed >>= 32
+        if not seed:
+            break
+    entropy.append(np.asarray(counters, dtype=np.uint32))
+
+    hash_const = _INIT_A
+    pool = []
+    for word in range(_POOL_WORDS):
+        value = entropy[word] if word < len(entropy) else np.zeros(n, dtype=np.uint32)
+        value, hash_const = _hashmix(value, hash_const)
+        pool.append(value)
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], value)
+    for src in range(_POOL_WORDS, len(entropy)):
+        for dst in range(_POOL_WORDS):
+            value, hash_const = _hashmix(entropy[src], hash_const)
+            pool[dst] = _mix(pool[dst], value)
+
+    hash_const = _INIT_B
+    words = np.empty((n, 2 * _POOL_WORDS), dtype="<u4")
+    for k in range(2 * _POOL_WORDS):
+        value = pool[k % _POOL_WORDS] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        words[:, k] = value ^ (value >> np.uint32(16))
+    return words.view("<u8")
+
+
+def _draw_instances(seed: int, start: int, num_points: int, idx, normals) -> None:
+    """Fill idx[j] and, unless it is None, normals[j] (shape (2, N, K): the
+    real then the imaginary parts of the pilot noise) with the draws of
+    instance start + j from its stream default_rng([seed, start + j]):
+    integers(0, num_points), then standard normals.
+
+    Each stream's PCG64 state is computed from its SeedSequence state and set
+    on one reused Generator."""
+    bit_gen = np.random.PCG64(0)
+    gen = np.random.Generator(bit_gen)
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    states = _seed_states(seed, np.arange(start, start + len(idx)))
+    for j, (s_hi, s_lo, q_hi, q_lo) in enumerate(states.tolist()):
+        # pcg64_set_seed: inc = 2 * initseq + 1; two LCG steps around += initstate
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        pcg["inc"] = inc
+        pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bit_gen.state = state
+        idx[j] = gen.integers(0, num_points)
+        if normals is not None:
+            gen.standard_normal(out=normals[j])
+
+
 def build_dataset(params: ScenarioParams, num_instances: int) -> Dataset:
     """Sample user positions, simulate channels/pilots, label with best-beam sum rate.
 
@@ -345,35 +450,46 @@ def build_dataset(params: ScenarioParams, num_instances: int) -> Dataset:
         raise ValueError("user grid has no points")
     N, K, M = params.num_bs, params.num_subcarriers, params.num_antennas
     sigma = params.noise_variance
+    scale = np.sqrt(sigma / 2.0)
+    blocks = [
+        slice(a, min(a + _DRAW_BLOCK, num_instances)) for a in range(0, num_instances, _DRAW_BLOCK)
+    ]
+
+    # feats_raw holds the scaled noise, [Re, Im] interleaved, until the
+    # pilots are added below
     idx = np.empty(num_instances, dtype=np.int64)
-    noise = np.zeros((num_instances, N, K), dtype=np.complex128) if sigma > 0 else None
-    scale = np.sqrt(sigma / 2.0) if sigma > 0 else 0.0
-    for i in range(num_instances):
-        child = np.random.default_rng([params.seed, i])
-        idx[i] = child.integers(0, grid.shape[0])
-        if noise is not None:
-            re = child.standard_normal((N, K))
-            im = child.standard_normal((N, K))
-            noise[i] = scale * (re + 1j * im)
+    feats_raw = np.empty((num_instances, 2 * N * K), dtype=np.float64)
+    normals = np.empty((_DRAW_BLOCK, 2, N * K), dtype=np.float64) if sigma > 0 else None
+    for rows in blocks:
+        count = rows.stop - rows.start
+        block = None if normals is None else normals[:count].reshape(count, 2, N, K)
+        _draw_instances(params.seed, rows.start, grid.shape[0], idx[rows], block)
+        if block is not None:
+            noise = feats_raw[rows].reshape(count, N * K, 2)
+            np.multiply(normals[:count].transpose(0, 2, 1), scale, out=noise)
 
     points, where = np.unique(idx, return_inverse=True)
-    h = channels(params, grid[points])
     codebook = dft_codebook(M, params.codebook_oversampling)
     point_label = np.zeros(len(points), dtype=np.float64)
-    for h_n in h:
-        point_label += beam_rates(h_n, codebook, params.snr_linear).max(axis=1)
+    pilots = np.empty((len(points), 2 * N * K), dtype=np.float64)
+    for a in range(0, len(points), _POINT_BLOCK):
+        part = slice(a, a + _POINT_BLOCK)
+        h = channels(params, grid[points[part]])
+        for h_n in h:
+            point_label[part] += beam_rates(h_n, codebook, params.snr_linear).max(axis=1)
+        obs = h[:, :, :, 0].transpose(1, 0, 2).reshape(-1, N * K)
+        pilots[part, 0::2] = obs.real
+        pilots[part, 1::2] = obs.imag
+    for rows in blocks:
+        if sigma > 0:
+            feats_raw[rows] += pilots[where[rows]]
+        else:
+            feats_raw[rows] = pilots[where[rows]]
     label_raw = point_label[where]
-    obs = h[:, :, :, 0].transpose(1, 0, 2)[where]
-    if noise is not None:
-        obs = obs + noise
-    obs = obs.reshape(num_instances, N * K)
-    feats_raw = np.empty((num_instances, 2 * N * K), dtype=np.float64)
-    feats_raw[:, 0::2] = obs.real
-    feats_raw[:, 1::2] = obs.imag
 
     norm = fit_normalization(feats_raw, label_raw)
     return Dataset(
-        features=norm.normalize_features(feats_raw),
+        features=norm._normalize_features_(feats_raw),
         labels=norm.normalize_labels(label_raw),
         norm_meta=norm,
         scenario=params,
@@ -381,28 +497,34 @@ def build_dataset(params: ScenarioParams, num_instances: int) -> Dataset:
 
 
 def split_dataset(ds: Dataset, train_fraction: float, rng) -> Tuple[Dataset, Dataset]:
-    """Shuffle-split rows; normalization is re-fitted on the training rows only."""
+    """Shuffle-split rows; normalization is re-fitted on the training rows only.
+
+    Each side maps only the rows it takes back to raw values and on to the
+    new normalization, in one array per side."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie in (0, 1)")
     n = ds.num_rows
     n_train = int(round(train_fraction * n))
     if n_train < 1 or n_train >= n:
         raise ValueError("split leaves an empty side")
-    raw_X = ds.norm_meta.denormalize_features(ds.features)
-    raw_y = ds.norm_meta.denormalize_labels(ds.labels)
     order = rng.permutation(n)
-    tr, te = order[:n_train], order[n_train:]
-    norm = fit_normalization(raw_X[tr], raw_y[tr])
 
-    def cut(rows):
+    def raw(rows):
+        X = ds.features[rows].astype(np.float64, copy=False)
+        y = ds.norm_meta.denormalize_labels(ds.labels[rows])
+        return ds.norm_meta._denormalize_features_(X), y
+
+    def cut(X, y):
         return Dataset(
-            features=norm.normalize_features(raw_X[rows]),
-            labels=norm.normalize_labels(raw_y[rows]),
+            features=norm._normalize_features_(X),
+            labels=norm.normalize_labels(y),
             norm_meta=norm,
             scenario=ds.scenario,
         )
 
-    return cut(tr), cut(te)
+    train_X, train_y = raw(order[:n_train])
+    norm = fit_normalization(train_X, train_y)
+    return cut(train_X, train_y), cut(*raw(order[n_train:]))
 
 
 def scenario_to_dict(params: ScenarioParams) -> dict:
@@ -454,10 +576,13 @@ def load_dataset(path) -> Dataset:
 
 
 def dataset_to_csv(ds: Dataset, path) -> None:
-    """Plain-text view for inspection: feature columns then the label column."""
+    """Plain-text view for inspection: feature columns then the label column,
+    each value as %.17g."""
     cols = [f"f{i}" for i in range(ds.num_features)] + ["label"]
-    table = np.column_stack([ds.features, ds.labels])
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
-        for row in table:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        for a in range(0, ds.num_rows, _CSV_BLOCK):
+            part = slice(a, a + _CSV_BLOCK)
+            table = np.column_stack([ds.features[part], ds.labels[part]])
+            fh.write((row * len(table)) % tuple(table.ravel().tolist()))

@@ -86,16 +86,15 @@ def adversarial_train(
     history = [RoundRecord(0, clean0, adv0, n)]
     snapshots = [numcore.copy_model(model)]
 
-    pool_X, pool_y = [X], [y]
+    pool = _Pool(X, y)
     rows = n
     prev_adv = adv0
     for round_index in range(1, def_cfg.max_rounds):
         pick = rng.permutation(n)
         x_adv = attack_dataset(model, _Pool(X[pick], y[pick]), atk)
-        pool_X.append(x_adv)
-        pool_y.append(y[pick])
+        pool = _Pool(np.concatenate([pool.features, x_adv]), np.concatenate([pool.labels, y[pick]]))
+        del x_adv
         rows += n
-        pool = _Pool(np.concatenate(pool_X), np.concatenate(pool_y))
         model, _ = numcore.train(model, pool, train_cfg, rng)
         clean, adv = _subset_metrics(model, X[probe], y[probe], atk)
         history.append(RoundRecord(round_index, clean, adv, rows))

@@ -10,10 +10,11 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from beamsec import numcore
+from beamsec import channel, numcore
 from beamsec.channel import SPEED_OF_LIGHT
 from beamsec.harness import Summary, SummaryRow
 
@@ -249,6 +250,61 @@ def full_batch_input_gradients(model, X, y) -> np.ndarray:
     preds, ws = numcore._forward_batch(model, np.asarray(X, dtype=np.float64))
     dout = 2.0 * (preds - np.asarray(y, dtype=np.float64))
     return numcore._backward_batch(model, ws, dout, need_input_grads=True)
+
+
+def reference_build_dataset(params, num_instances: int):
+    """build_dataset with one default_rng([seed, i]) per instance and every
+    array over all instances at once.
+
+    Returns idx (each instance's grid index), noise (its (N, K) complex pilot
+    noise, None when noise_variance is 0), and the normalized features and
+    labels."""
+    grid = params.user_grid.points()
+    N, K, M = params.num_bs, params.num_subcarriers, params.num_antennas
+    sigma = params.noise_variance
+    idx = np.empty(num_instances, dtype=np.int64)
+    noise = np.zeros((num_instances, N, K), dtype=np.complex128) if sigma > 0 else None
+    scale = np.sqrt(sigma / 2.0) if sigma > 0 else 0.0
+    for i in range(num_instances):
+        child = np.random.default_rng([params.seed, i])
+        idx[i] = child.integers(0, grid.shape[0])
+        if noise is not None:
+            re = child.standard_normal((N, K))
+            im = child.standard_normal((N, K))
+            noise[i] = scale * (re + 1j * im)
+
+    points, where = np.unique(idx, return_inverse=True)
+    h = channel.channels(params, grid[points])
+    codebook = channel.dft_codebook(M, params.codebook_oversampling)
+    point_label = np.zeros(len(points), dtype=np.float64)
+    for h_n in h:
+        point_label += channel.beam_rates(h_n, codebook, params.snr_linear).max(axis=1)
+    label_raw = point_label[where]
+    obs = h[:, :, :, 0].transpose(1, 0, 2)[where]
+    if noise is not None:
+        obs = obs + noise
+    obs = obs.reshape(num_instances, N * K)
+    feats_raw = np.empty((num_instances, 2 * N * K), dtype=np.float64)
+    feats_raw[:, 0::2] = obs.real
+    feats_raw[:, 1::2] = obs.imag
+    norm = channel.fit_normalization(feats_raw, label_raw)
+    span = norm.label_max - norm.label_min
+    if span > 0:
+        labels = norm.label_cap * ((label_raw - norm.label_min) / span)
+    else:
+        labels = np.zeros(num_instances)
+    features = (feats_raw - norm.feature_mean) / norm.feature_std
+    return SimpleNamespace(idx=idx, noise=noise, features=features, labels=labels)
+
+
+def reference_dataset_to_csv(ds, path) -> None:
+    """dataset_to_csv one row and one value at a time."""
+    cols = [f"f{i}" for i in range(ds.num_features)] + ["label"]
+    table = np.column_stack([ds.features, ds.labels])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(cols) + "\n")
+        for row in table:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def _reference_forward(model, X, rng=None):

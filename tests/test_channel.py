@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ import oracles
 from beamsec import channel
 from beamsec.channel import (
     SPEED_OF_LIGHT,
+    Dataset,
     ScenarioParams,
     UserGrid,
     Wall,
@@ -307,8 +309,9 @@ def test_pilot_noise_variance_monte_carlo(tiny_scenario):
 
 
 def test_build_dataset_computes_each_grid_point_once(monkeypatch):
-    """The channel tensor is built for the distinct sampled grid points, not
-    once per instance: 12,500 draws land on at most the 1,116 grid points."""
+    """The channel tensor is built once per BS for each distinct sampled grid
+    point, not once per instance: the rows of all its calls sum to the
+    distinct points among 12,500 draws times the BS count."""
     rows = []
     tensor = channel._channel_tensor
 
@@ -317,10 +320,57 @@ def test_build_dataset_computes_each_grid_point_once(monkeypatch):
         return tensor(params, gains, *rest)
 
     monkeypatch.setattr(channel, "_channel_tensor", counted)
-    params = default_scenario()
-    build_dataset(params, 12_500)
-    assert len(rows) == params.num_bs
-    assert max(rows) <= params.user_grid.points().shape[0] == 1116
+    for params in (default_scenario(), two_bs(default_scenario())):
+        distinct = len(np.unique(oracles.reference_build_dataset(params, 12_500).idx))
+        rows.clear()
+        build_dataset(params, 12_500)
+        assert sum(rows) == distinct * params.num_bs
+        assert distinct <= params.user_grid.points().shape[0] == 1116
+
+
+DRAW_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**40 + 3)
+
+
+@pytest.mark.parametrize("seed", DRAW_SEEDS + (2**100 + 5,))
+def test_seed_states_match_seed_sequence(seed):
+    """The bulk hash equals numpy's SeedSequence([seed, i]) state, also for
+    seeds of several 32-bit words (2**100 + 5 gives more entropy words than
+    the pool holds)."""
+    counters = np.array([0, 1, 2, 1023, 1024, 65_537, 2**32 - 1])
+    want = [np.random.SeedSequence([seed, int(i)]).generate_state(4, np.uint64) for i in counters]
+    assert np.array_equal(channel._seed_states(seed, counters), np.array(want))
+
+
+@pytest.mark.parametrize("n", (1, 1023, 1024, 1025, 3000))
+@pytest.mark.parametrize("seed", DRAW_SEEDS)
+def test_build_dataset_draws_match_per_instance_streams(monkeypatch, seed, n):
+    """Instance i's grid index and pilot noise are the draws of its own
+    default_rng([seed, i]), bit for bit, across draw blocks, and the dataset
+    equals the one built from them over all instances at once."""
+    draws = []
+    draw = channel._draw_instances
+
+    def recorded(seed_, start, num_points, idx, normals):
+        draw(seed_, start, num_points, idx, normals)
+        draws.append((start, idx.copy(), None if normals is None else normals.copy()))
+
+    monkeypatch.setattr(channel, "_draw_instances", recorded)
+    base = replace(default_scenario(), seed=seed)
+    for params in (base, replace(base, noise_variance=0.0), two_bs(base)):
+        draws.clear()
+        ds = build_dataset(params, n)
+        want = oracles.reference_build_dataset(params, n)
+        assert [start for start, _, _ in draws] == list(range(0, n, 1024))
+        assert np.array_equal(np.concatenate([idx for _, idx, _ in draws]), want.idx)
+        if want.noise is None:
+            assert all(normals is None for _, _, normals in draws)
+        else:
+            normals = np.concatenate([normals for _, _, normals in draws])
+            scale = np.sqrt(params.noise_variance / 2.0)
+            noise = scale * (normals[:, 0] + 1j * normals[:, 1])
+            assert noise.tobytes() == want.noise.tobytes()
+        assert ds.features.tobytes() == want.features.tobytes()
+        assert ds.labels.tobytes() == want.labels.tobytes()
 
 
 # ------------------------------------------------------------------ datasets
@@ -380,6 +430,22 @@ def test_split_refits_normalization_on_train_side(tiny_scenario):
         split_dataset(ds, 0.0, np.random.default_rng(0))
 
 
+def test_split_dataset_peak_memory(tiny_scenario):
+    """Splitting 50,000 rows 20/80 holds little beyond the two sides it
+    returns (6.5 MiB here): each side maps only its own rows, in place."""
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((50_000, 16))
+    y = rng.uniform(0.0, 0.9, 50_000)
+    ds = Dataset(X, y, channel.fit_normalization(X, y), tiny_scenario)
+    tracemalloc.start()
+    try:
+        split_dataset(ds, 0.2, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20
+
+
 def test_split_is_rng_deterministic(tiny_scenario):
     ds = build_dataset(tiny_scenario, 120)
     a1, b1 = split_dataset(ds, 0.75, np.random.default_rng(11))
@@ -434,6 +500,21 @@ def test_dataset_csv_export(tmp_path, tiny_scenario):
     assert lines[0].split(",")[:2] == ["f0", "f1"]
     assert lines[0].split(",")[-1] == "label"
     assert len(lines) == 11
+
+
+def test_dataset_csv_bytes_match_value_by_value_export(tmp_path, tiny_scenario):
+    """Block-formatted rows equal formatting each value with f"{v:.17g}",
+    across a block boundary and on signed zero, subnormal and huge values."""
+    rng = np.random.default_rng(3)
+    n = 4097
+    features = rng.standard_normal((n, 8)) * 10.0 ** rng.integers(-300, 300, (n, 8))
+    features[0, 0], features[4095, 1], features[4096, 2] = -0.0, 5e-324, 1e300
+    labels = rng.uniform(0.0, 0.9, n)
+    labels[1] = -0.0
+    ds = Dataset(features, labels, build_dataset(tiny_scenario, 2).norm_meta, tiny_scenario)
+    dataset_to_csv(ds, tmp_path / "blocks.csv")
+    oracles.reference_dataset_to_csv(ds, tmp_path / "values.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
 
 
 def test_default_scenario_is_the_pinned_recipe():

@@ -57,6 +57,22 @@ def test_row_counts_single_rep(tiny_scenario):
     assert all(np.isfinite(r.mse) and r.mse >= 0.0 for r in result.rows)
 
 
+def test_sweep_takes_one_gradient_pass_per_model_and_rows(tiny_scenario, monkeypatch):
+    """FGSM's gradient sign does not depend on the budget, so a 1-repetition
+    sweep over 10 budgets runs 5 gradient passes: one for SC2, one for SC3,
+    and the defense's round-0 probe, round-1 attack and round-1 probe."""
+    calls = []
+    gradients = numcore.input_gradients
+
+    def counted(model, X, y):
+        calls.append(X.shape[0])
+        return gradients(model, X, y)
+
+    monkeypatch.setattr(numcore, "input_gradients", counted)
+    run_experiment(tiny_config(tiny_scenario, attack_grid=tuple(0.01 * i for i in range(1, 11))))
+    assert len(calls) == 5
+
+
 def test_row_counts_multi_rep(tiny_scenario):
     cfg = tiny_config(tiny_scenario, repetitions=2, attack_grid=(0.02, 0.05, 0.1))
     result = run_experiment(cfg)

@@ -26,22 +26,15 @@ _MAGIC = b"BMDS1"
 
 _LABEL_CAP = 0.9
 
-# Block sizes, in instances, distinct grid points and CSV rows: each bounds
-# the memory one step of build_dataset or dataset_to_csv holds at once.
+# Instances per random stream: instance block b draws from
+# default_rng([seed, b]). Part of the data definition, so changing it
+# changes every dataset byte.
 _DRAW_BLOCK = 1024
+
+# Block sizes, in distinct grid points and CSV rows: each bounds the memory
+# one step of build_dataset or dataset_to_csv holds at once.
 _POINT_BLOCK = 256
 _CSV_BLOCK = 4096
-
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64
-# seeding, which NEP 19 keeps stable: instance i's stream default_rng([seed, i])
-# is rebuilt from these without constructing a SeedSequence per instance.
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_POOL_WORDS = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -282,20 +275,14 @@ class NormMeta:
     label_max: float
     label_cap: float = _LABEL_CAP
 
-    def normalize_features(self, raw) -> np.ndarray:
-        return self._normalize_features_(np.array(raw, dtype=np.float64))
-
-    def denormalize_features(self, z) -> np.ndarray:
-        return self._denormalize_features_(np.array(z, dtype=np.float64))
-
     def _normalize_features_(self, X: np.ndarray) -> np.ndarray:
-        """normalize_features applied to the float64 array X in place."""
+        """Z-score the raw float64 feature array X in place."""
         X -= self.feature_mean
         X /= self.feature_std
         return X
 
     def _denormalize_features_(self, X: np.ndarray) -> np.ndarray:
-        """denormalize_features applied to the float64 array X in place."""
+        """Map the z-scored float64 feature array X back to raw values in place."""
         X *= self.feature_std
         X += self.feature_mean
         return X
@@ -316,7 +303,7 @@ class NormMeta:
         return self.label_min + (y / self.label_cap) * span
 
 
-def fit_normalization(raw_features, raw_labels, cap: float = _LABEL_CAP) -> NormMeta:
+def fit_normalization(raw_features, raw_labels) -> NormMeta:
     """Column-wise z-score parameters plus min/max label scaling."""
     X = np.asarray(raw_features, dtype=np.float64)
     y = np.asarray(raw_labels, dtype=np.float64)
@@ -330,7 +317,6 @@ def fit_normalization(raw_features, raw_labels, cap: float = _LABEL_CAP) -> Norm
         feature_std=std,
         label_min=float(y.min()),
         label_max=float(y.max()),
-        label_cap=float(cap),
     )
 
 
@@ -354,94 +340,21 @@ class Dataset:
         return self.features.shape[1]
 
 
-def _hashmix(value, hash_const: int):
-    value = value ^ np.uint32(hash_const)
-    hash_const = hash_const * _MULT_A & _MASK32
-    value = value * np.uint32(hash_const)
-    return value ^ (value >> np.uint32(16)), hash_const
-
-
-def _mix(x, y):
-    out = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
-    return out ^ (out >> np.uint32(16))
-
-
-def _seed_states(seed: int, counters: np.ndarray) -> np.ndarray:
-    """SeedSequence([seed, i]).generate_state(4, np.uint64) for every i in
-    `counters` (each below 2**32), hashed at once: a (len(counters), 4)
-    uint64 array. The entropy is the seed's 32-bit words, least significant
-    first, then i's one word."""
-    n = len(counters)
-    entropy = []
-    while True:
-        entropy.append(np.full(n, seed & _MASK32, dtype=np.uint32))
-        seed >>= 32
-        if not seed:
-            break
-    entropy.append(np.asarray(counters, dtype=np.uint32))
-
-    hash_const = _INIT_A
-    pool = []
-    for word in range(_POOL_WORDS):
-        value = entropy[word] if word < len(entropy) else np.zeros(n, dtype=np.uint32)
-        value, hash_const = _hashmix(value, hash_const)
-        pool.append(value)
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                value, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], value)
-    for src in range(_POOL_WORDS, len(entropy)):
-        for dst in range(_POOL_WORDS):
-            value, hash_const = _hashmix(entropy[src], hash_const)
-            pool[dst] = _mix(pool[dst], value)
-
-    hash_const = _INIT_B
-    words = np.empty((n, 2 * _POOL_WORDS), dtype="<u4")
-    for k in range(2 * _POOL_WORDS):
-        value = pool[k % _POOL_WORDS] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * np.uint32(hash_const)
-        words[:, k] = value ^ (value >> np.uint32(16))
-    return words.view("<u8")
-
-
-def _draw_instances(seed: int, start: int, num_points: int, idx, normals) -> None:
-    """Fill idx[j] and, unless it is None, normals[j] (shape (2, N, K): the
-    real then the imaginary parts of the pilot noise) with the draws of
-    instance start + j from its stream default_rng([seed, start + j]):
-    integers(0, num_points), then standard normals.
-
-    Each stream's PCG64 state is computed from its SeedSequence state and set
-    on one reused Generator."""
-    bit_gen = np.random.PCG64(0)
-    gen = np.random.Generator(bit_gen)
-    pcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    states = _seed_states(seed, np.arange(start, start + len(idx)))
-    for j, (s_hi, s_lo, q_hi, q_lo) in enumerate(states.tolist()):
-        # pcg64_set_seed: inc = 2 * initseq + 1; two LCG steps around += initstate
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-        pcg["inc"] = inc
-        pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        bit_gen.state = state
-        idx[j] = gen.integers(0, num_points)
-        if normals is not None:
-            gen.standard_normal(out=normals[j])
-
-
 def build_dataset(params: ScenarioParams, num_instances: int) -> Dataset:
     """Sample user positions, simulate channels/pilots, label with best-beam sum rate.
 
-    Every random draw for instance i comes from the child stream keyed by
-    (params.seed, i), so the result is a pure function of the params and the
-    instance count. Channels and best-beam rates are computed once per
-    distinct sampled grid point and gathered per instance. Labels are the
-    per-instance sum over BSs of the best codebook beam's rate, scaled so the
-    dataset maximum lands on 0.9 and the minimum on 0.0. Features are the
-    omni pilots (the first antenna element) plus complex AWGN of variance
-    noise_variance, laid out BS-major, subcarrier-minor, [Re, Im] interleaved,
-    and z-scored per column over the whole set.
+    Instance block b (instances _DRAW_BLOCK*b onward) draws from
+    default_rng([params.seed, b]): the whole block's grid indices, then its
+    pilot normals. Whole blocks are drawn even past num_instances, so
+    instance i's draws depend only on (params.seed, i) and the result is a
+    pure function of the params and the instance count. Channels and
+    best-beam rates are computed once per distinct sampled grid point and
+    gathered per instance. Labels are the per-instance sum over BSs of the
+    best codebook beam's rate, scaled so the dataset maximum lands on 0.9 and
+    the minimum on 0.0. Features are the omni pilots (the first antenna
+    element) plus complex AWGN of variance noise_variance, laid out
+    BS-major, subcarrier-minor, [Re, Im] interleaved, and z-scored per column
+    over the whole set.
     """
     if num_instances < 1:
         raise ValueError("num_instances must be >= 1")
@@ -460,11 +373,12 @@ def build_dataset(params: ScenarioParams, num_instances: int) -> Dataset:
     idx = np.empty(num_instances, dtype=np.int64)
     feats_raw = np.empty((num_instances, 2 * N * K), dtype=np.float64)
     normals = np.empty((_DRAW_BLOCK, 2, N * K), dtype=np.float64) if sigma > 0 else None
-    for rows in blocks:
+    for b, rows in enumerate(blocks):
         count = rows.stop - rows.start
-        block = None if normals is None else normals[:count].reshape(count, 2, N, K)
-        _draw_instances(params.seed, rows.start, grid.shape[0], idx[rows], block)
-        if block is not None:
+        gen = np.random.default_rng([params.seed, b])
+        idx[rows] = gen.integers(0, grid.shape[0], size=_DRAW_BLOCK)[:count]
+        if normals is not None:
+            gen.standard_normal(out=normals)
             noise = feats_raw[rows].reshape(count, N * K, 2)
             np.multiply(normals[:count].transpose(0, 2, 1), scale, out=noise)
 

@@ -252,26 +252,33 @@ def full_batch_input_gradients(model, X, y) -> np.ndarray:
     return numcore._backward_batch(model, ws, dout, need_input_grads=True)
 
 
-def reference_build_dataset(params, num_instances: int):
-    """build_dataset with one default_rng([seed, i]) per instance and every
-    array over all instances at once.
+# Instances per random stream in the dataset definition: block b of
+# DRAW_BLOCK instances draws from default_rng([seed, b]).
+DRAW_BLOCK = 1024
 
-    Returns idx (each instance's grid index), noise (its (N, K) complex pilot
-    noise, None when noise_variance is 0), and the normalized features and
+
+def reference_build_dataset(params, num_instances: int):
+    """build_dataset with one default_rng([seed, b]) per block of DRAW_BLOCK
+    instances, each drawing a whole block of grid indices and then a whole
+    block of normals, sliced to num_instances; every other array covers all
+    instances at once.
+
+    Returns idx (each instance's grid index) and the normalized features and
     labels."""
     grid = params.user_grid.points()
     N, K, M = params.num_bs, params.num_subcarriers, params.num_antennas
     sigma = params.noise_variance
-    idx = np.empty(num_instances, dtype=np.int64)
-    noise = np.zeros((num_instances, N, K), dtype=np.complex128) if sigma > 0 else None
-    scale = np.sqrt(sigma / 2.0) if sigma > 0 else 0.0
-    for i in range(num_instances):
-        child = np.random.default_rng([params.seed, i])
-        idx[i] = child.integers(0, grid.shape[0])
-        if noise is not None:
-            re = child.standard_normal((N, K))
-            im = child.standard_normal((N, K))
-            noise[i] = scale * (re + 1j * im)
+    idx, normals = [], []
+    for b in range(-(-num_instances // DRAW_BLOCK)):
+        gen = np.random.default_rng([params.seed, b])
+        idx.append(gen.integers(0, grid.shape[0], size=DRAW_BLOCK))
+        if sigma > 0:
+            normals.append(gen.standard_normal((DRAW_BLOCK, 2, N, K)))
+    idx = np.concatenate(idx)[:num_instances]
+    noise = None
+    if sigma > 0:
+        normals = np.concatenate(normals)[:num_instances]
+        noise = np.sqrt(sigma / 2.0) * (normals[:, 0] + 1j * normals[:, 1])
 
     points, where = np.unique(idx, return_inverse=True)
     h = channel.channels(params, grid[points])
@@ -294,7 +301,12 @@ def reference_build_dataset(params, num_instances: int):
     else:
         labels = np.zeros(num_instances)
     features = (feats_raw - norm.feature_mean) / norm.feature_std
-    return SimpleNamespace(idx=idx, noise=noise, features=features, labels=labels)
+    return SimpleNamespace(idx=idx, features=features, labels=labels)
+
+
+def raw_features(ds) -> np.ndarray:
+    """A dataset's features mapped back to raw values: X * std + mean."""
+    return ds.features * ds.norm_meta.feature_std + ds.norm_meta.feature_mean
 
 
 def reference_dataset_to_csv(ds, path) -> None:

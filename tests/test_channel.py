@@ -270,24 +270,24 @@ def test_best_beam_prefers_matched_steering():
 def test_pilot_features_noiseless_matches_channel(tiny_scenario):
     """Noiseless raw features are each instance's first-antenna channel, and
     raw labels the brute-force best-beam rate summed over the BSs, at the
-    grid point each instance's own stream draws."""
+    grid point each instance's block stream draws."""
     for params in (tiny_scenario, two_bs(default_scenario())):
         params = replace(params, noise_variance=0.0)
         n = 60
         ds = build_dataset(params, n)
+        idx = oracles.reference_build_dataset(params, n).idx
         grid = params.user_grid.points()
         cb = dft_codebook(params.num_antennas, params.codebook_oversampling)
         feats = np.empty((n, 2 * params.num_bs * params.num_subcarriers))
         labels = np.empty(n)
         for i in range(n):
-            g = np.random.default_rng([params.seed, i]).integers(0, grid.shape[0])
-            h = oracles.image_method_channel(params, grid[g])
+            h = oracles.image_method_channel(params, grid[idx[i]])
             feats[i, 0::2] = h[:, :, 0].real.ravel()
             feats[i, 1::2] = h[:, :, 0].imag.ravel()
             labels[i] = sum(
                 oracles.brute_force_best_beam(h_n, cb, params.snr_linear)[1] for h_n in h
             )
-        raw_X = ds.norm_meta.denormalize_features(ds.features)
+        raw_X = oracles.raw_features(ds)
         raw_y = ds.norm_meta.denormalize_labels(ds.labels)
         scale = np.max(np.abs(feats))
         assert np.max(np.abs(raw_X - feats)) <= 1e-9 * scale
@@ -304,7 +304,7 @@ def test_pilot_noise_variance_monte_carlo(tiny_scenario):
     sigma2 = 1e-8
     params = one_point(replace(tiny_scenario, noise_variance=sigma2), 2.0, 0.0)
     ds = build_dataset(params, 10_000)
-    raw = ds.norm_meta.denormalize_features(ds.features)
+    raw = oracles.raw_features(ds)
     assert np.allclose(raw.var(axis=0), sigma2 / 2.0, rtol=0.08)
 
 
@@ -331,46 +331,34 @@ def test_build_dataset_computes_each_grid_point_once(monkeypatch):
 DRAW_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**40 + 3)
 
 
-@pytest.mark.parametrize("seed", DRAW_SEEDS + (2**100 + 5,))
-def test_seed_states_match_seed_sequence(seed):
-    """The bulk hash equals numpy's SeedSequence([seed, i]) state, also for
-    seeds of several 32-bit words (2**100 + 5 gives more entropy words than
-    the pool holds)."""
-    counters = np.array([0, 1, 2, 1023, 1024, 65_537, 2**32 - 1])
-    want = [np.random.SeedSequence([seed, int(i)]).generate_state(4, np.uint64) for i in counters]
-    assert np.array_equal(channel._seed_states(seed, counters), np.array(want))
-
-
 @pytest.mark.parametrize("n", (1, 1023, 1024, 1025, 3000))
 @pytest.mark.parametrize("seed", DRAW_SEEDS)
-def test_build_dataset_draws_match_per_instance_streams(monkeypatch, seed, n):
-    """Instance i's grid index and pilot noise are the draws of its own
-    default_rng([seed, i]), bit for bit, across draw blocks, and the dataset
-    equals the one built from them over all instances at once."""
-    draws = []
-    draw = channel._draw_instances
-
-    def recorded(seed_, start, num_points, idx, normals):
-        draw(seed_, start, num_points, idx, normals)
-        draws.append((start, idx.copy(), None if normals is None else normals.copy()))
-
-    monkeypatch.setattr(channel, "_draw_instances", recorded)
+def test_build_dataset_draws_match_per_instance_streams(seed, n):
+    """Each 1,024-instance block draws its grid indices and pilot noise from
+    its own default_rng([seed, b]), whole blocks even where the dataset ends
+    inside one: the dataset equals the per-block oracle's byte for byte."""
     base = replace(default_scenario(), seed=seed)
     for params in (base, replace(base, noise_variance=0.0), two_bs(base)):
-        draws.clear()
         ds = build_dataset(params, n)
         want = oracles.reference_build_dataset(params, n)
-        assert [start for start, _, _ in draws] == list(range(0, n, 1024))
-        assert np.array_equal(np.concatenate([idx for _, idx, _ in draws]), want.idx)
-        if want.noise is None:
-            assert all(normals is None for _, _, normals in draws)
-        else:
-            normals = np.concatenate([normals for _, _, normals in draws])
-            scale = np.sqrt(params.noise_variance / 2.0)
-            noise = scale * (normals[:, 0] + 1j * normals[:, 1])
-            assert noise.tobytes() == want.noise.tobytes()
         assert ds.features.tobytes() == want.features.tobytes()
         assert ds.labels.tobytes() == want.labels.tobytes()
+
+
+def test_instance_draws_do_not_depend_on_instance_count():
+    """Instance i's draws depend only on (seed, i): the raw features and
+    labels of a build of n instances are the first n rows of a larger
+    build's, up to the z-scoring round-off of each."""
+    for params in (default_scenario(), two_bs(default_scenario())):
+        big = build_dataset(params, 3000)
+        big_X = oracles.raw_features(big)
+        big_y = big.norm_meta.denormalize_labels(big.labels)
+        for n in (1, 1023, 1024, 1025, 2048):
+            ds = build_dataset(params, n)
+            raw_X = oracles.raw_features(ds)
+            raw_y = ds.norm_meta.denormalize_labels(ds.labels)
+            assert np.max(np.abs(raw_X - big_X[:n])) <= 1e-12 * np.max(np.abs(big_X[:n]))
+            assert np.max(np.abs(raw_y - big_y[:n])) <= 1e-12 * np.max(np.abs(big_y[:n]))
 
 
 # ------------------------------------------------------------------ datasets

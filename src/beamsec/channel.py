@@ -31,10 +31,14 @@ _LABEL_CAP = 0.9
 # changes every dataset byte.
 _DRAW_BLOCK = 1024
 
-# Block sizes, in distinct grid points and CSV rows: each bounds the memory
-# one step of build_dataset or dataset_to_csv holds at once.
+# Distinct grid points per step of build_dataset: bounds the memory one
+# step holds at once.
 _POINT_BLOCK = 256
-_CSV_BLOCK = 4096
+
+# Rows per step of dataset_to_csv. A step holds 40 bytes of character slots
+# per value (see csvtext.rows) and a few arrays of one to four integers per
+# value.
+_CSV_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -474,15 +478,19 @@ def load_dataset(path) -> Dataset:
     """Read a dataset file; a malformed one raises framing.FormatError."""
 
     def decode(header, take):
+        adversarial, eps = header["adversarial"], header["epsilon"]
+        if type(adversarial) is not bool:
+            raise ValueError(f"adversarial: expected a boolean, got {adversarial!r}")
+        if eps is not None and not (type(eps) in (int, float) and math.isfinite(eps) and eps >= 0):
+            raise ValueError(f"epsilon: expected null or a finite number >= 0, got {eps!r}")
         features = take((header["rows"], header["cols"]))
         labels = take((header["rows"],))
-        eps = header["epsilon"]
         return Dataset(
             features=features,
             labels=labels,
             norm_meta=config.load(NormMeta, header["norm_meta"], "norm_meta"),
             scenario=config.load(ScenarioParams, header["scenario"], "scenario"),
-            adversarial=bool(header["adversarial"]),
+            adversarial=adversarial,
             epsilon=None if eps is None else float(eps),
         )
 
@@ -491,12 +499,15 @@ def load_dataset(path) -> Dataset:
 
 def dataset_to_csv(ds: Dataset, path) -> None:
     """Plain-text view for inspection: feature columns then the label column,
-    each value as %.17g."""
+    each value as %.17g, "\n" line ends on every platform. Rows are turned
+    into bytes _CSV_BLOCK at a time by csvtext.rows."""
+    # imported on first use, so that commands which never export neither
+    # compile csvtext nor hold its tables
+    from . import csvtext
+
     cols = [f"f{i}" for i in range(ds.num_features)] + ["label"]
-    row = ",".join(["%.17g"] * len(cols)) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(cols) + "\n").encode("ascii"))
         for a in range(0, ds.num_rows, _CSV_BLOCK):
             part = slice(a, a + _CSV_BLOCK)
-            table = np.column_stack([ds.features[part], ds.labels[part]])
-            fh.write((row * len(table)) % tuple(table.ravel().tolist()))
+            fh.write(csvtext.rows(np.column_stack([ds.features[part], ds.labels[part]])))

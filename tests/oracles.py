@@ -263,8 +263,8 @@ def reference_build_dataset(params, num_instances: int):
     block of normals, sliced to num_instances; every other array covers all
     instances at once.
 
-    Returns idx (each instance's grid index) and the normalized features and
-    labels."""
+    Returns idx (each instance's grid index), the normalized features and
+    labels, and norm, the NormMeta fitted on the raw rows."""
     grid = params.user_grid.points()
     N, K, M = params.num_bs, params.num_subcarriers, params.num_antennas
     sigma = params.noise_variance
@@ -301,7 +301,7 @@ def reference_build_dataset(params, num_instances: int):
     else:
         labels = np.zeros(num_instances)
     features = (feats_raw - norm.feature_mean) / norm.feature_std
-    return SimpleNamespace(idx=idx, features=features, labels=labels)
+    return SimpleNamespace(idx=idx, features=features, labels=labels, norm=norm)
 
 
 def raw_features(ds) -> np.ndarray:
@@ -313,7 +313,7 @@ def reference_dataset_to_csv(ds, path) -> None:
     """dataset_to_csv one row and one value at a time."""
     cols = [f"f{i}" for i in range(ds.num_features)] + ["label"]
     table = np.column_stack([ds.features, ds.labels])
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
         for row in table:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

@@ -336,13 +336,19 @@ DRAW_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**40 + 3)
 def test_build_dataset_draws_match_per_instance_streams(seed, n):
     """Each 1,024-instance block draws its grid indices and pilot noise from
     its own default_rng([seed, b]), whole blocks even where the dataset ends
-    inside one: the dataset equals the per-block oracle's byte for byte."""
+    inside one: the dataset and its normalization equal the per-block
+    oracle's byte for byte. At n = 1 the features and labels z-score to zeros,
+    so there the normalization, which holds the raw row, carries the check."""
     base = replace(default_scenario(), seed=seed)
     for params in (base, replace(base, noise_variance=0.0), two_bs(base)):
         ds = build_dataset(params, n)
         want = oracles.reference_build_dataset(params, n)
         assert ds.features.tobytes() == want.features.tobytes()
         assert ds.labels.tobytes() == want.labels.tobytes()
+        got_norm, want_norm = ds.norm_meta, want.norm
+        assert got_norm.feature_mean.tobytes() == want_norm.feature_mean.tobytes()
+        assert got_norm.feature_std.tobytes() == want_norm.feature_std.tobytes()
+        assert (got_norm.label_min, got_norm.label_max) == (want_norm.label_min, want_norm.label_max)
 
 
 def test_instance_draws_do_not_depend_on_instance_count():
@@ -503,6 +509,63 @@ def test_dataset_csv_bytes_match_value_by_value_export(tmp_path, tiny_scenario):
     dataset_to_csv(ds, tmp_path / "blocks.csv")
     oracles.reference_dataset_to_csv(ds, tmp_path / "values.csv")
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
+
+
+def _csv_fast_path_values(rng) -> np.ndarray:
+    """Values in and around [1e-4, 1e16), where %.17g writes fixed notation."""
+    powers = np.array([float(f"1e{m}") for m in range(-5, 18)])
+    near = [powers]
+    for toward in (0.0, np.inf):
+        step = powers
+        for _ in range(3):
+            step = np.nextafter(step, toward)
+            near.append(step)
+    # N / 2**j with N * 5**j of 18 digits, the last a 5: an exact tie at the
+    # 17th digit, broken to even
+    ties = []
+    for j in range(3, 22):
+        lo, hi = -(-(10**17) // 5**j), 10**18 // 5**j
+        ties += [(2 * int(n) + 1) / 2**j for n in rng.integers(lo // 2, (hi - 1) // 2, 20)]
+    edges = [1e-4, 9.9999999999999995e-5, 1e16, 9999999999999998.0, 0.5, 100.0, 123456789012345.67]
+    dyadic = rng.integers(1, 2**53, 200) / 2.0 ** rng.integers(0, 60, 200)
+    values = np.concatenate([*near, ties, edges, dyadic])
+    return np.concatenate([values, -values])
+
+
+def test_dataset_csv_fast_path_matches_value_by_value_export(tmp_path, tiny_scenario):
+    """Values that dataset_to_csv formats by integer arithmetic give the
+    bytes of f"{v:.17g}": random magnitudes of both signs from 1e-5 to 1e17,
+    powers of ten and 1-3 ulps either side of them (the doubles nearest to
+    rounding up to the next power), exact 17th-digit ties, and the edges of
+    the range, spread over a row-block boundary."""
+    rng = np.random.default_rng(8)
+    rows, cols = channel._CSV_BLOCK + 200, 9
+    table = rng.choice([-1.0, 1.0], (rows, cols)) * 10.0 ** rng.uniform(-5, 17, (rows, cols))
+    special = _csv_fast_path_values(rng)
+    flat = table.ravel()
+    flat[: len(special)] = special
+    flat[channel._CSV_BLOCK * cols - len(special) // 2 :][: len(special)] = rng.permutation(special)
+    norm = build_dataset(tiny_scenario, 2).norm_meta
+    ds = Dataset(table[:, :-1], table[:, -1].copy(), norm, tiny_scenario)
+    dataset_to_csv(ds, tmp_path / "fast.csv")
+    oracles.reference_dataset_to_csv(ds, tmp_path / "values.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
+
+
+def test_dataset_to_csv_peak_memory(tmp_path, tiny_scenario):
+    """Exporting 50,000 x 16 features holds no more than the writer that
+    made one %-call per block of 4,096 rows held: 4,804,092 bytes measured."""
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((50_000, 16))
+    y = rng.uniform(0.0, 0.9, 50_000)
+    ds = Dataset(X, y, channel.fit_normalization(X, y), tiny_scenario)
+    tracemalloc.start()
+    try:
+        dataset_to_csv(ds, tmp_path / "data.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_804_092
 
 
 def test_default_scenario_is_the_pinned_recipe():

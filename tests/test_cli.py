@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -187,6 +188,16 @@ MODEL_HEADER_EDITS = {
     "model_dropout_bool": lambda h: h["layers"][0].update(dropout_ratio=False),
 }
 
+# Dataset headers that differ from save_dataset's by one field each.
+DATASET_HEADER_EDITS = {
+    "dataset_adversarial_string": lambda h: h.update(adversarial="no"),
+    "dataset_adversarial_int": lambda h: h.update(adversarial=1),
+    "dataset_epsilon_string": lambda h: h.update(epsilon="0.1"),
+    "dataset_epsilon_nan": lambda h: h.update(epsilon=float("nan")),
+    "dataset_epsilon_bool": lambda h: h.update(epsilon=True),
+    "dataset_epsilon_negative": lambda h: h.update(epsilon=-3.0),
+}
+
 
 @pytest.mark.parametrize(
     "case",
@@ -196,6 +207,7 @@ MODEL_HEADER_EDITS = {
         "model_as_data",
         "dataset_as_model",
         *MODEL_HEADER_EDITS,
+        *DATASET_HEADER_EDITS,
     ],
 )
 def test_malformed_artifact_exits_3(runner, tmp_path, case):
@@ -221,6 +233,14 @@ def test_malformed_artifact_exits_3(runner, tmp_path, case):
         arrays = [a for l in net.layers for a in (l.weights, l.bias)]
         write_framed(bad, b"BMMLP1", header, arrays)
         argv = attack_with(bad)
+    elif case in DATASET_HEADER_EDITS:
+        blob = data.read_bytes()
+        (hlen,) = struct.unpack("<I", blob[5:9])
+        header = json.loads(blob[9 : 9 + hlen])
+        DATASET_HEADER_EDITS[case](header)
+        new = json.dumps(header, sort_keys=True).encode("utf-8")
+        bad.write_bytes(blob[:5] + struct.pack("<I", len(new)) + new + blob[9 + hlen :])
+        argv = ["train", "--data", str(bad), "--out", out]
     else:
         blob = data.read_bytes()
         bad.write_bytes(blob[:-5] if case == "dataset_cut_by_5_bytes" else blob + bytes(8))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -15,8 +16,8 @@ class AttackConfig:
     epsilon: float
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be a finite number >= 0, got {self.epsilon!r}")
 
 
 def attack_dataset(model: numcore.MlpModel, data, cfg: AttackConfig) -> np.ndarray:

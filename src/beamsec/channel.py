@@ -17,7 +17,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import config
 from .framing import read_framed, write_framed
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -146,40 +145,8 @@ def dft_codebook(num_antennas: int, oversampling: int = 1) -> np.ndarray:
     ) / np.sqrt(num_antennas)
 
 
-def _mirror_point(point: np.ndarray, wall: Wall) -> np.ndarray:
-    """Reflect a point across the infinite line through the wall segment."""
-    p1 = np.array([wall.x1, wall.y1])
-    direction = np.array([wall.x2 - wall.x1, wall.y2 - wall.y1])
-    direction = direction / np.linalg.norm(direction)
-    rel = point - p1
-    along = np.dot(rel, direction) * direction
-    return p1 + 2.0 * along - rel
-
-
 def _cross2(ax, ay, bx, by):
     return ax * by - ay * bx
-
-
-def _bounce_geometry(bs: np.ndarray, wall: Wall, users: np.ndarray):
-    """Image-method single bounce for each user; returns (points (R,2), valid (R,))."""
-    image = _mirror_point(bs, wall)
-    p1 = np.array([wall.x1, wall.y1])
-    w = np.array([wall.x2 - wall.x1, wall.y2 - wall.y1])
-    d = users - image  # ray from the mirrored BS to each user
-    b = p1 - image
-    denom = _cross2(d[:, 0], d[:, 1], w[0], w[1])
-    ok = np.abs(denom) > 1e-12
-    safe = np.where(ok, denom, 1.0)
-    t = _cross2(b[0], b[1], w[0], w[1]) / safe
-    s = _cross2(b[0], b[1], d[:, 0], d[:, 1]) / safe
-    # bounce must land inside the segment, strictly between image and user,
-    # and the BS and user must sit on the same side of the wall
-    side_bs = _cross2(w[0], w[1], bs[0] - p1[0], bs[1] - p1[1])
-    side_user = _cross2(w[0], w[1], users[:, 0] - p1[0], users[:, 1] - p1[1])
-    valid = ok & (t > 1e-9) & (t < 1.0 - 1e-9) & (s >= 0.0) & (s <= 1.0)
-    valid &= side_bs * side_user > 0.0
-    points = image[None, :] + t[:, None] * d
-    return points, valid
 
 
 def _path_gain(lengths: np.ndarray, wavelength: float) -> np.ndarray:
@@ -189,52 +156,61 @@ def _path_gain(lengths: np.ndarray, wavelength: float) -> np.ndarray:
     )
 
 
-def _path_table(params: ScenarioParams, bs: np.ndarray, users: np.ndarray):
-    """Per-path arrays for a batch of users: gains, sin(AoD), delays, validity, bounces."""
-    lam = params.carrier_wavelength_m
-    cols_gain, cols_sin, cols_delay, cols_valid, bounce_counts = [], [], [], [], []
+def _paths(params: ScenarioParams, bs: np.ndarray, users: np.ndarray):
+    """Per-path gains, sin(AoD) and delays (R, L) from the BS at `bs` to R users.
 
+    Column 0 is the LOS path. With max_reflections = 1 each wall adds the
+    column of its image-method bounce, whose gain is exactly 0 where the
+    bounce misses the wall segment; a bounce that lands keeps its nonzero
+    gain, the reflection coefficient times lambda/(4 pi d).
+    """
+    lam = params.carrier_wavelength_m
     rel = users - bs
     dist = np.linalg.norm(rel, axis=1)
-    cols_gain.append(_path_gain(dist, lam))
-    cols_sin.append(rel[:, 1] / dist)
-    cols_delay.append(dist / SPEED_OF_LIGHT)
-    cols_valid.append(np.ones(len(users), dtype=bool))
-    bounce_counts.append(0)
+    gains = [_path_gain(dist, lam)]
+    sin_aod = [rel[:, 1] / dist]
+    delays = [dist / SPEED_OF_LIGHT]
 
-    if params.max_reflections >= 1:
-        for wall in params.walls:
-            points, valid = _bounce_geometry(bs, wall, users)
-            image = _mirror_point(bs, wall)
-            length = np.linalg.norm(users - image, axis=1)
-            leg = points - bs
-            leg_len = np.linalg.norm(leg, axis=1)
-            valid = valid & (leg_len > 1e-9) & (length > 1e-9)
-            safe_leg = np.where(leg_len > 1e-9, leg_len, 1.0)
-            cols_gain.append(params.reflection_coeff * _path_gain(length, lam))
-            cols_sin.append(leg[:, 1] / safe_leg)
-            cols_delay.append(length / SPEED_OF_LIGHT)
-            cols_valid.append(valid)
-            bounce_counts.append(1)
+    walls = params.walls if params.max_reflections >= 1 else ()
+    for wall in walls:
+        p1 = np.array([wall.x1, wall.y1])
+        w = np.array([wall.x2 - wall.x1, wall.y2 - wall.y1])
+        unit = w / np.linalg.norm(w)
+        off = bs - p1
+        image = p1 + 2.0 * (np.dot(off, unit) * unit) - off  # the BS mirrored across the wall
+        d = users - image  # ray from the mirrored BS to each user
+        b = p1 - image
+        denom = _cross2(d[:, 0], d[:, 1], w[0], w[1])
+        ok = np.abs(denom) > 1e-12
+        safe = np.where(ok, denom, 1.0)
+        t = _cross2(b[0], b[1], w[0], w[1]) / safe
+        s = _cross2(b[0], b[1], d[:, 0], d[:, 1]) / safe
+        leg = image[None, :] + t[:, None] * d - bs  # BS to the bounce point
+        leg_len = np.linalg.norm(leg, axis=1)
+        length = np.linalg.norm(d, axis=1)
+        # bounce must land inside the segment, strictly between image and user,
+        # and the BS and user must sit on the same side of the wall
+        side_bs = _cross2(w[0], w[1], off[0], off[1])
+        side_user = _cross2(w[0], w[1], users[:, 0] - p1[0], users[:, 1] - p1[1])
+        hit = ok & (t > 1e-9) & (t < 1.0 - 1e-9) & (s >= 0.0) & (s <= 1.0)
+        hit &= (side_bs * side_user > 0.0) & (leg_len > 1e-9) & (length > 1e-9)
+        gains.append(np.where(hit, params.reflection_coeff * _path_gain(length, lam), 0.0))
+        sin_aod.append(leg[:, 1] / np.where(leg_len > 1e-9, leg_len, 1.0))
+        delays.append(length / SPEED_OF_LIGHT)
 
-    gains = np.column_stack(cols_gain)
-    sin_aod = np.column_stack(cols_sin)
-    delays = np.column_stack(cols_delay)
-    valid = np.column_stack(cols_valid)
-    return gains, sin_aod, delays, valid, np.array(bounce_counts)
+    return np.column_stack(gains), np.column_stack(sin_aod), np.column_stack(delays)
 
 
-def _channel_tensor(params: ScenarioParams, gains, sin_aod, delays, valid):
+def _channel_tensor(params: ScenarioParams, gains, sin_aod, delays):
     """Assemble h for a batch: (R, K, M) from per-path arrays (R, L)."""
     K, M = params.num_subcarriers, params.num_antennas
-    g = np.where(valid, gains, 0.0)
     k = np.arange(K)
     sub_phase = np.exp(
         -2j * np.pi * delays[:, :, None] * k[None, None, :] * params.bandwidth_hz / K
     )
     # steering entries times sqrt(M): unit-modulus physical array response
     steer = np.exp(1j * np.pi * sin_aod[:, :, None] * np.arange(M)[None, None, :])
-    return np.einsum("rl,rlk,rlm->rkm", g, sub_phase, steer)
+    return np.einsum("rl,rlk,rlm->rkm", gains, sub_phase, steer)
 
 
 def channels(params: ScenarioParams, positions) -> np.ndarray:
@@ -253,8 +229,7 @@ def channels(params: ScenarioParams, positions) -> np.ndarray:
         bs = np.asarray(bs_xy, dtype=np.float64)
         if np.any(np.linalg.norm(positions - bs, axis=1) < 0.1):
             raise ValueError("user position closer than 0.1 m to a BS")
-        gains, sin_aod, delays, valid, _ = _path_table(params, bs, positions)
-        h[n] = _channel_tensor(params, gains, sin_aod, delays, valid)
+        h[n] = _channel_tensor(params, *_paths(params, bs, positions))
     return h
 
 
@@ -278,6 +253,17 @@ class NormMeta:
     label_min: float
     label_max: float
     label_cap: float = _LABEL_CAP
+
+    def __post_init__(self):
+        mean, std = np.shape(self.feature_mean), np.shape(self.feature_std)
+        if len(mean) != 1 or mean != std:
+            raise ValueError("feature_mean and feature_std must be vectors of one length")
+        if not np.all(self.feature_std > 0):
+            raise ValueError("feature_std must be positive")
+        if not self.label_min <= self.label_max:
+            raise ValueError("label_min must not exceed label_max")
+        if not 0.0 < self.label_cap < 1.0:
+            raise ValueError("label_cap must lie in (0, 1)")
 
     def _normalize_features_(self, X: np.ndarray) -> np.ndarray:
         """Z-score the raw float64 feature array X in place."""
@@ -452,7 +438,22 @@ def scenario_to_dict(params: ScenarioParams) -> dict:
     return d
 
 
-_DATASET_KEYS = ("scenario", "norm_meta", "rows", "cols", "adversarial", "epsilon")
+@dataclass(frozen=True)
+class _DatasetHeader:
+    """The JSON header of a dataset file, as save_dataset writes it."""
+
+    scenario: ScenarioParams
+    norm_meta: NormMeta
+    rows: int
+    cols: int
+    adversarial: bool
+    epsilon: Optional[float]
+
+    def __post_init__(self):
+        if self.epsilon is not None and self.epsilon < 0:
+            raise ValueError("epsilon must be nonnegative")
+        if len(self.norm_meta.feature_mean) != self.cols:
+            raise ValueError("norm_meta vectors must have one entry per column")
 
 
 def save_dataset(ds: Dataset, path) -> None:
@@ -477,24 +478,17 @@ def save_dataset(ds: Dataset, path) -> None:
 def load_dataset(path) -> Dataset:
     """Read a dataset file; a malformed one raises framing.FormatError."""
 
-    def decode(header, take):
-        adversarial, eps = header["adversarial"], header["epsilon"]
-        if type(adversarial) is not bool:
-            raise ValueError(f"adversarial: expected a boolean, got {adversarial!r}")
-        if eps is not None and not (type(eps) in (int, float) and math.isfinite(eps) and eps >= 0):
-            raise ValueError(f"epsilon: expected null or a finite number >= 0, got {eps!r}")
-        features = take((header["rows"], header["cols"]))
-        labels = take((header["rows"],))
+    def decode(head, take):
         return Dataset(
-            features=features,
-            labels=labels,
-            norm_meta=config.load(NormMeta, header["norm_meta"], "norm_meta"),
-            scenario=config.load(ScenarioParams, header["scenario"], "scenario"),
-            adversarial=adversarial,
-            epsilon=None if eps is None else float(eps),
+            features=take((head.rows, head.cols)),
+            labels=take((head.rows,)),
+            norm_meta=head.norm_meta,
+            scenario=head.scenario,
+            adversarial=head.adversarial,
+            epsilon=head.epsilon,
         )
 
-    return read_framed(path, _MAGIC, _DATASET_KEYS, decode)
+    return read_framed(path, _MAGIC, _DatasetHeader, decode)
 
 
 def dataset_to_csv(ds: Dataset, path) -> None:

@@ -178,7 +178,7 @@ def run(config, seed, reps, eps, out, fmt):
     click.echo(f"wrote {out_dir / 'manifest.json'}")
     for path in written:
         click.echo(f"wrote {path}")
-    for row in summary.rows:
+    for row in summary:
         click.echo(
             f"{row.scenario_id} eps={row.epsilon:.6g}: mean MSE {row.mean_mse:.6g} "
             f"(n={row.n})"

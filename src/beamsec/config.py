@@ -1,8 +1,9 @@
 """Loading of the pipeline's dataclasses from JSON documents.
 
-One loader serves every experiment config section and the blocks of a
-dataset header. It reads each field by its declared type and rejects
-unknown keys, wrong types and non-finite numbers, naming the field path.
+One loader serves every experiment config section and the headers of
+dataset files and model checkpoints. It reads each field by its declared
+type and rejects unknown keys, wrong types and non-finite numbers, naming
+the field path.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ def load(cls, doc, path: str = "", base=None):
 
 
 def _value(kind, value, path: str):
+    if typing.get_origin(kind) is typing.Union:  # Optional[X]: null or an X
+        (inner,) = [a for a in typing.get_args(kind) if a is not type(None)]
+        return None if value is None else _value(inner, value, path)
     if dataclasses.is_dataclass(kind):
         if isinstance(value, list):  # a dataclass may be written as its fields in order
             names = [f.name for f in dataclasses.fields(kind)]

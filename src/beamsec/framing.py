@@ -14,6 +14,8 @@ import struct
 
 import numpy as np
 
+from . import config
+
 
 class FormatError(ValueError):
     """A file is not a well-formed artifact of the expected kind; names the file."""
@@ -27,13 +29,15 @@ def write_framed(path, magic: bytes, header: dict, arrays) -> None:
             fh.write(np.ascontiguousarray(array, dtype="<f8"))
 
 
-def read_framed(path, magic: bytes, keys, decode):
-    """Return decode(header, take) for a framed file whose header has exactly `keys`.
+def read_framed(path, magic: bytes, header_cls, decode):
+    """Return decode(header, take) for a framed file, where header is the
+    file's JSON header loaded as the dataclass header_cls by config.load.
 
+    config.load rejects unknown keys, missing fields and mistyped values.
     decode calls take(shape) once per array, in file order; take reads the
     array straight from the file. The payload must be exactly the arrays
-    taken. Any KeyError, TypeError or ValueError raised while decoding
-    becomes a FormatError naming the file.
+    taken. Any KeyError, TypeError or ValueError raised while loading the
+    header or decoding becomes a FormatError naming the file.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -59,9 +63,7 @@ def read_framed(path, magic: bytes, keys, decode):
             raise FormatError(f"{path}: not a {magic.decode()} file (bad magic)")
         (hlen,) = struct.unpack("<I", need(4))
         try:
-            header = json.loads(need(hlen).decode("utf-8"))
-            if not isinstance(header, dict) or set(header) != set(keys):
-                raise ValueError(f"header keys must be {sorted(keys)}")
+            header = config.load(header_cls, json.loads(need(hlen).decode("utf-8")))
             result = decode(header, take)
         except FormatError:
             raise

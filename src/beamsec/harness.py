@@ -16,7 +16,7 @@ import platform
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -184,16 +184,16 @@ class SummaryRow:
     min_mse: float
     max_mse: float
     n: int
+    ratio: Optional[float] = None  # mean_mse over the clean mean; SC2/SC3 rows only
 
 
-@dataclass
-class Summary:
-    rows: List[SummaryRow]
-    ratios: Dict[str, Dict[float, float]]
+def summarize(result: ExperimentResult) -> List[SummaryRow]:
+    """Per (scenario, epsilon) aggregates, sorted by (scenario, epsilon).
 
-
-def summarize(result: ExperimentResult) -> Summary:
-    """Per (scenario, epsilon) aggregates plus attacked/clean mean-MSE ratios."""
+    An SC2 or SC3 row carries its mean MSE over the SC1 mean (of the first
+    SC1 group) as its ratio, when that clean mean is positive; every other
+    row's ratio is None.
+    """
     if not result.rows:
         raise ValueError("cannot summarize an empty result")
     groups: Dict[Tuple[str, float], List[float]] = {}
@@ -213,79 +213,72 @@ def summarize(result: ExperimentResult) -> Summary:
                 n=int(arr.size),
             )
         )
-    ratios: Dict[str, Dict[float, float]] = {}
-    clean = [r for r in rows if r.scenario_id == SC1]
-    if clean and clean[0].mean_mse > 0:
-        base = clean[0].mean_mse
-        for sc in (SC2, SC3):
-            table = {
-                r.epsilon: r.mean_mse / base for r in rows if r.scenario_id == sc
-            }
-            if table:
-                ratios[f"{sc}_over_{SC1}"] = table
-    return Summary(rows=rows, ratios=ratios)
+    clean = next((r.mean_mse for r in rows if r.scenario_id == SC1), 0.0)
+    if clean > 0:
+        rows = [
+            replace(r, ratio=r.mean_mse / clean) if r.scenario_id in (SC2, SC3) else r
+            for r in rows
+        ]
+    return rows
 
 
 def _sig6(value: float) -> float:
     return float(f"{value:.6g}")
 
 
-def emit_report(summary: Summary, out_dir, fmt: str = "csv") -> List[Path]:
-    """Write the summary in the requested format; returns the paths written.
+def emit_report(rows: Sequence[SummaryRow], out_dir, fmt: str = "csv") -> List[Path]:
+    """Write summarize's rows in the requested format; returns the paths written.
 
-    CSV: summary.csv (fixed header) plus ratios.csv. JSON: summary.json with
-    the same rows and the ratio tables; floats carry 6 significant digits.
+    CSV: summary.csv (fixed header) plus ratios.csv, one line per row that
+    has a ratio. JSON: summary.json with the same rows and, under "ratios",
+    an "SC2_over_SC1"/"SC3_over_SC1" table of those ratios by epsilon;
+    floats carry 6 significant digits.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown report format: {fmt!r}")
-    if not summary.rows:
+    if not rows:
         raise ValueError("cannot emit an empty summary")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
+    ratio_rows = [r for r in rows if r.ratio is not None]
     if fmt == "csv":
         path = out_dir / "summary.csv"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(SUMMARY_HEADER + "\n")
-            for r in summary.rows:
+            for r in rows:
                 fh.write(
                     f"{r.scenario_id},{r.epsilon:.6g},{r.mean_mse:.6g},{r.std_mse:.6g},"
                     f"{r.min_mse:.6g},{r.max_mse:.6g},{r.n}\n"
                 )
-        written.append(path)
         rpath = out_dir / "ratios.csv"
         with open(rpath, "w", encoding="utf-8") as fh:
             fh.write("scenario,epsilon,mse_ratio_vs_clean\n")
-            for key in sorted(summary.ratios):
-                sc = key.split("_over_")[0]
-                for eps in sorted(summary.ratios[key]):
-                    fh.write(f"{sc},{eps:.6g},{summary.ratios[key][eps]:.6g}\n")
-        written.append(rpath)
-    else:
-        payload = {
-            "rows": [
-                {
-                    "scenario": r.scenario_id,
-                    "epsilon": _sig6(r.epsilon),
-                    "mean_mse": _sig6(r.mean_mse),
-                    "std_mse": _sig6(r.std_mse),
-                    "min_mse": _sig6(r.min_mse),
-                    "max_mse": _sig6(r.max_mse),
-                    "n": r.n,
-                }
-                for r in summary.rows
-            ],
-            "ratios": {
-                key: {f"{eps:.6g}": _sig6(v) for eps, v in sorted(table.items())}
-                for key, table in sorted(summary.ratios.items())
-            },
-        }
-        path = out_dir / "summary.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written.append(path)
-    return written
+            for r in ratio_rows:
+                fh.write(f"{r.scenario_id},{r.epsilon:.6g},{r.ratio:.6g}\n")
+        return [path, rpath]
+    ratios: Dict[str, Dict[str, float]] = {}
+    for r in ratio_rows:
+        ratios.setdefault(f"{r.scenario_id}_over_{SC1}", {})[f"{r.epsilon:.6g}"] = _sig6(r.ratio)
+    payload = {
+        "rows": [
+            {
+                "scenario": r.scenario_id,
+                "epsilon": _sig6(r.epsilon),
+                "mean_mse": _sig6(r.mean_mse),
+                "std_mse": _sig6(r.std_mse),
+                "min_mse": _sig6(r.min_mse),
+                "max_mse": _sig6(r.max_mse),
+                "n": r.n,
+            }
+            for r in rows
+        ],
+        "ratios": ratios,
+    }
+    path = out_dir / "summary.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return [path]
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:

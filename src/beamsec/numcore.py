@@ -8,12 +8,11 @@ what the white-box attack code consumes.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from . import config
 from .framing import read_framed, write_framed
 
 RELU = "relu"
@@ -422,7 +421,7 @@ class _LayerHeader:
 class _ModelHeader:
     input_dim: int
     seed: int
-    layers: list  # each entry is read as a _LayerHeader
+    layers: Tuple[_LayerHeader, ...]
 
 
 def save_model(model: MlpModel, path) -> None:
@@ -438,17 +437,15 @@ def load_model(path) -> MlpModel:
     """Read a checkpoint; a malformed one raises framing.FormatError.
 
     The header and each of its layer entries must have exactly the fields of
-    _ModelHeader and _LayerHeader, typed as config.load types them.
+    _ModelHeader and _LayerHeader, typed by config.load in read_framed.
     """
 
-    def decode(header, take):
-        head = config.load(_ModelHeader, header)
+    def decode(head, take):
         layers = []
-        for i, entry in enumerate(head.layers):
-            spec = config.load(_LayerHeader, entry, f"layers[{i}]")
+        for spec in head.layers:
             weights = take((spec.out_dim, spec.in_dim))
             bias = take((spec.out_dim,))
             layers.append(DenseLayer(weights, bias, spec.activation, spec.dropout_ratio))
         return MlpModel(layers=layers, input_dim=head.input_dim, rng_seed=head.seed)
 
-    return read_framed(path, _MAGIC, [f.name for f in fields(_ModelHeader)], decode)
+    return read_framed(path, _MAGIC, _ModelHeader, decode)

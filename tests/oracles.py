@@ -11,12 +11,13 @@ import cmath
 import json
 import math
 from types import SimpleNamespace
+from typing import List
 
 import numpy as np
 
 from beamsec import channel, numcore
 from beamsec.channel import SPEED_OF_LIGHT
-from beamsec.harness import Summary, SummaryRow
+from beamsec.harness import SummaryRow
 
 
 def squared_error(model, x, y) -> float:
@@ -402,11 +403,12 @@ def reference_train(model, data, cfg, rng):
     return model, history
 
 
-def summary_from_json(path) -> Summary:
+def summary_from_json(path) -> List[SummaryRow]:
     """Inverse of the JSON report, up to the 6-digit float rendering."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    rows = [
+    ratios = payload.get("ratios", {})
+    return [
         SummaryRow(
             scenario_id=str(r["scenario"]),
             epsilon=float(r["epsilon"]),
@@ -415,11 +417,7 @@ def summary_from_json(path) -> Summary:
             min_mse=float(r["min_mse"]),
             max_mse=float(r["max_mse"]),
             n=int(r["n"]),
+            ratio=ratios.get(f"{r['scenario']}_over_SC1", {}).get(f"{r['epsilon']:.6g}"),
         )
         for r in payload["rows"]
     ]
-    ratios = {
-        key: {float(eps): float(v) for eps, v in table.items()}
-        for key, table in payload.get("ratios", {}).items()
-    }
-    return Summary(rows=rows, ratios=ratios)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,8 +14,9 @@ from beamsec.attack import AttackConfig, attack_dataset
 
 
 def test_attack_config_validation():
-    with pytest.raises(ValueError):
-        AttackConfig(epsilon=-0.01)
+    for bad in (-0.01, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            AttackConfig(epsilon=bad)
     AttackConfig(epsilon=0.0)  # zero budget is legal
 
 

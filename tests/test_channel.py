@@ -48,12 +48,13 @@ def one_point(params: ScenarioParams, x: float, y: float) -> ScenarioParams:
 
 
 def path_table(params: ScenarioParams, user):
-    """Per-path gains, sin(AoD), delays and bounce counts of the valid paths
-    from the BS at the origin to one user position."""
-    gains, sin_aod, delays, valid, bounces = channel._path_table(
-        params, ORIGIN, np.asarray([user], dtype=np.float64)
-    )
-    keep = valid[0]
+    """Per-path gains, sin(AoD), delays and bounce counts of the paths that
+    reach one user position from the BS at the origin. _paths puts LOS in
+    column 0 and one wall bounce in each further column, with gain 0 where
+    the bounce misses its wall."""
+    gains, sin_aod, delays = channel._paths(params, ORIGIN, np.asarray([user], dtype=np.float64))
+    keep = gains[0] != 0
+    bounces = np.minimum(np.arange(gains.shape[1]), 1)
     return gains[0, keep], sin_aod[0, keep], delays[0, keep], bounces[keep]
 
 
@@ -177,15 +178,24 @@ def test_bounce_gain_matches_image_length(tiny_scenario):
         assert gains[hit[0]] == pytest.approx(expect, abs=1e-15)
 
 
+def short_walls(params: ScenarioParams) -> ScenarioParams:
+    """Walls that some bounces miss: a segment above the grid that covers
+    only part of it, and one standing inside the grid, which users beyond it
+    see from the other side."""
+    return replace(params, walls=(Wall(2.0, 4.7, 5.0, 4.7), Wall(4.5, -0.93, 4.5, 1.07)))
+
+
 def test_channel_tensor_is_sum_of_path_responses():
     """channels agrees with the loop-based image method on 300 grid points of
-    the default scenario, its LOS-only variant and a 2-BS variant.
+    the default scenario, its LOS-only variant, a 2-BS variant and a variant
+    whose walls some bounces miss.
 
     The carrier phase 2 pi d / lambda reaches ~5,000 rad on this grid, where
     one float64 ulp is 9.1e-13, so two correct evaluations can differ by
     that much relative to |h|; the bound sits just above it.
     """
-    for params in (default_scenario(), los_only(default_scenario()), two_bs(default_scenario())):
+    default = default_scenario()
+    for params in (default, los_only(default), two_bs(default), short_walls(default)):
         grid = params.user_grid.points()
         pts = grid[np.random.default_rng(3).choice(grid.shape[0], 300, replace=False)]
         h = channels(params, pts)

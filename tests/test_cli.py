@@ -196,6 +196,15 @@ DATASET_HEADER_EDITS = {
     "dataset_epsilon_nan": lambda h: h.update(epsilon=float("nan")),
     "dataset_epsilon_bool": lambda h: h.update(epsilon=True),
     "dataset_epsilon_negative": lambda h: h.update(epsilon=-3.0),
+    "dataset_mean_too_short": lambda h: h["norm_meta"].update(feature_mean=[0.0, 0.0, 0.0]),
+    "dataset_norm_vectors_too_short": lambda h: h["norm_meta"].update(
+        feature_mean=[0.0, 0.0, 0.0], feature_std=[1.0, 1.0, 1.0]
+    ),
+    "dataset_std_negative": lambda h: h["norm_meta"].update(
+        feature_std=[-1.0] * len(h["norm_meta"]["feature_std"])
+    ),
+    "dataset_label_min_above_max": lambda h: h["norm_meta"].update(label_min=5.0, label_max=1.0),
+    "dataset_label_cap_negative": lambda h: h["norm_meta"].update(label_cap=-3.0),
 }
 
 
@@ -253,6 +262,20 @@ def test_malformed_artifact_exits_3(runner, tmp_path, case):
     result = runner.invoke(cli.main, argv)
     assert result.exit_code == 3, result.output
     assert re.search(r"format error: .*(bad|data|model)\.bin", result.output)
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+def test_non_finite_attack_budget_exits_2(runner, tmp_path, eps):
+    data, model, out = tmp_path / "data.bin", tmp_path / "model.bin", tmp_path / "out.bin"
+    save_dataset(build_dataset(make_tiny_scenario(seed=5), 50), data)
+    numcore.save_model(numcore.init_model(8, 0), model)
+    result = runner.invoke(
+        cli.main,
+        ["attack", "--model", str(model), "--data", str(data), f"--eps={eps}", "--out", str(out)],
+    )
+    assert result.exit_code == 2, result.output
+    assert "config error: epsilon" in result.output
+    assert not out.exists()
 
 
 def test_defend_single_round_checkpoint_equals_train(runner, tmp_path, tiny_config_path):

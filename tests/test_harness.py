@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from typing import List
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from beamsec.harness import (
     ExperimentConfig,
     ExperimentResult,
     ResultRow,
-    Summary,
     SummaryRow,
     config_from_dict,
     config_to_dict,
@@ -144,9 +144,7 @@ def test_result_csv_round_trip(tmp_path, tiny_scenario):
 
 def test_summarize_single_row():
     result = ExperimentResult(rows=[ResultRow("SC1", 0.0, 0, 0.25, 0.1)])
-    summary = summarize(result)
-    assert len(summary.rows) == 1
-    row = summary.rows[0]
+    (row,) = summarize(result)
     assert (row.mean_mse, row.std_mse, row.min_mse, row.max_mse, row.n) == (
         0.25, 0.0, 0.25, 0.25, 1,
     )
@@ -159,18 +157,18 @@ def test_summarize_population_std_and_ratios():
         ResultRow("SC2", 0.1, 0, 0.8, 0.0),
         ResultRow("SC2", 0.1, 1, 0.8, 0.0),
     ]
-    summary = summarize(ExperimentResult(rows=rows))
-    sc1 = [r for r in summary.rows if r.scenario_id == "SC1"][0]
+    sc1, sc2 = summarize(ExperimentResult(rows=rows))
     assert sc1.mean_mse == pytest.approx(0.2, abs=1e-15)
     assert sc1.std_mse == pytest.approx(0.1, abs=1e-15)  # population formula
-    assert summary.ratios["SC2_over_SC1"][0.1] == pytest.approx(4.0, abs=1e-12)
+    assert sc1.ratio is None
+    assert sc2.ratio == pytest.approx(4.0, abs=1e-12)
 
 
 def test_summarize_group_count(tiny_scenario):
     cfg = tiny_config(tiny_scenario, repetitions=2, attack_grid=(0.05, 0.1))
     summary = summarize(run_experiment(cfg))
     # SC1 has one epsilon, SC2/SC3 have two each
-    assert len(summary.rows) == 1 + 2 + 2
+    assert len(summary) == 1 + 2 + 2
     with pytest.raises(ValueError):
         summarize(ExperimentResult(rows=[]))
 
@@ -178,12 +176,11 @@ def test_summarize_group_count(tiny_scenario):
 # --------------------------------------------------------------- emit_report
 
 
-def sample_summary() -> Summary:
-    rows = [
+def sample_summary() -> List[SummaryRow]:
+    return [
         SummaryRow("SC1", 0.0, 0.001234567, 0.0001, 0.0011, 0.0013, 20),
-        SummaryRow("SC2", 0.1, 0.012345678, 0.002, 0.01, 0.015, 20),
+        SummaryRow("SC2", 0.1, 0.012345678, 0.002, 0.01, 0.015, 20, ratio=10.00462),
     ]
-    return Summary(rows=rows, ratios={"SC2_over_SC1": {0.1: 10.00462}})
 
 
 def test_emit_csv_report(tmp_path):
@@ -210,19 +207,214 @@ def test_emit_json_round_trip(tmp_path):
     summary = sample_summary()
     (path,) = emit_report(summary, tmp_path, "json")
     back = summary_from_json(path)
-    assert len(back.rows) == len(summary.rows)
-    for a, b in zip(back.rows, summary.rows):
+    assert len(back) == len(summary)
+    for a, b in zip(back, summary):
         assert a.scenario_id == b.scenario_id
         assert a.n == b.n
         assert a.mean_mse == pytest.approx(b.mean_mse, rel=1e-5)  # 6-digit render
-    assert back.ratios["SC2_over_SC1"][0.1] == pytest.approx(10.00462, rel=1e-5)
+    assert back[0].ratio is None
+    assert back[1].ratio == pytest.approx(10.00462, rel=1e-5)
 
 
 def test_emit_report_rejects_bad_format(tmp_path):
     with pytest.raises(ConfigError):
         emit_report(sample_summary(), tmp_path, "xml")
     with pytest.raises(ValueError):
-        emit_report(Summary(rows=[], ratios={}), tmp_path, "csv")
+        emit_report([], tmp_path, "csv")
+
+
+def _grid_rows() -> List[ResultRow]:
+    mses = {
+        ("SC1", 0.0): (0.00123, 0.00131, 0.00118),
+        ("SC2", 0.05): (0.00187, 0.00201, 0.00179),
+        ("SC2", 0.1): (0.00264, 0.00293, 0.00251),
+        ("SC3", 0.05): (0.00142, 0.00149, 0.00137),
+        ("SC3", 0.1): (0.00171, 0.00188, 0.00166),
+        ("SC4", 0.1): (0.0042, 0.0044, 0.0039),
+    }
+    return [
+        ResultRow(sc, eps, rep, mse, 0.0)
+        for (sc, eps), values in mses.items()
+        for rep, mse in enumerate(values)
+    ]
+
+
+RATIOS_HEADER_ONLY = "scenario,epsilon,mse_ratio_vs_clean\n"
+
+# Expected report files, byte for byte, for three hand-built results: SC1 plus
+# SC2 and SC3 at two budgets and an unknown SC4 (which gets no ratio) over
+# three repetitions; no SC1 rows at all; an SC1 mean of 0. Neither of the
+# last two has ratios.
+PINNED_REPORTS = {
+    "grid": (
+        _grid_rows(),
+        """\
+scenario,epsilon,mean_mse,std_mse,min_mse,max_mse,n
+SC1,0,0.00124,5.35413e-05,0.00118,0.00131,3
+SC2,0.05,0.00189,9.09212e-05,0.00179,0.00201,3
+SC2,0.1,0.00269333,0.000175563,0.00251,0.00293,3
+SC3,0.05,0.00142667,4.92161e-05,0.00137,0.00149,3
+SC3,0.1,0.00175,9.4163e-05,0.00166,0.00188,3
+SC4,0.1,0.00416667,0.00020548,0.0039,0.0044,3
+""",
+        """\
+scenario,epsilon,mse_ratio_vs_clean
+SC2,0.05,1.52419
+SC2,0.1,2.17204
+SC3,0.05,1.15054
+SC3,0.1,1.41129
+""",
+        """\
+{
+  "ratios": {
+    "SC2_over_SC1": {
+      "0.05": 1.52419,
+      "0.1": 2.17204
+    },
+    "SC3_over_SC1": {
+      "0.05": 1.15054,
+      "0.1": 1.41129
+    }
+  },
+  "rows": [
+    {
+      "epsilon": 0.0,
+      "max_mse": 0.00131,
+      "mean_mse": 0.00124,
+      "min_mse": 0.00118,
+      "n": 3,
+      "scenario": "SC1",
+      "std_mse": 5.35413e-05
+    },
+    {
+      "epsilon": 0.05,
+      "max_mse": 0.00201,
+      "mean_mse": 0.00189,
+      "min_mse": 0.00179,
+      "n": 3,
+      "scenario": "SC2",
+      "std_mse": 9.09212e-05
+    },
+    {
+      "epsilon": 0.1,
+      "max_mse": 0.00293,
+      "mean_mse": 0.00269333,
+      "min_mse": 0.00251,
+      "n": 3,
+      "scenario": "SC2",
+      "std_mse": 0.000175563
+    },
+    {
+      "epsilon": 0.05,
+      "max_mse": 0.00149,
+      "mean_mse": 0.00142667,
+      "min_mse": 0.00137,
+      "n": 3,
+      "scenario": "SC3",
+      "std_mse": 4.92161e-05
+    },
+    {
+      "epsilon": 0.1,
+      "max_mse": 0.00188,
+      "mean_mse": 0.00175,
+      "min_mse": 0.00166,
+      "n": 3,
+      "scenario": "SC3",
+      "std_mse": 9.4163e-05
+    },
+    {
+      "epsilon": 0.1,
+      "max_mse": 0.0044,
+      "mean_mse": 0.00416667,
+      "min_mse": 0.0039,
+      "n": 3,
+      "scenario": "SC4",
+      "std_mse": 0.00020548
+    }
+  ]
+}
+""",
+    ),
+    "no_clean_rows": (
+        [ResultRow("SC2", 0.1, 0, 0.002, 0.0), ResultRow("SC3", 0.1, 0, 0.0015, 0.0)],
+        """\
+scenario,epsilon,mean_mse,std_mse,min_mse,max_mse,n
+SC2,0.1,0.002,0,0.002,0.002,1
+SC3,0.1,0.0015,0,0.0015,0.0015,1
+""",
+        RATIOS_HEADER_ONLY,
+        """\
+{
+  "ratios": {},
+  "rows": [
+    {
+      "epsilon": 0.1,
+      "max_mse": 0.002,
+      "mean_mse": 0.002,
+      "min_mse": 0.002,
+      "n": 1,
+      "scenario": "SC2",
+      "std_mse": 0.0
+    },
+    {
+      "epsilon": 0.1,
+      "max_mse": 0.0015,
+      "mean_mse": 0.0015,
+      "min_mse": 0.0015,
+      "n": 1,
+      "scenario": "SC3",
+      "std_mse": 0.0
+    }
+  ]
+}
+""",
+    ),
+    "zero_clean_mean": (
+        [ResultRow("SC1", 0.0, 0, 0.0, 0.0), ResultRow("SC2", 0.1, 0, 0.002, 0.0)],
+        """\
+scenario,epsilon,mean_mse,std_mse,min_mse,max_mse,n
+SC1,0,0,0,0,0,1
+SC2,0.1,0.002,0,0.002,0.002,1
+""",
+        RATIOS_HEADER_ONLY,
+        """\
+{
+  "ratios": {},
+  "rows": [
+    {
+      "epsilon": 0.0,
+      "max_mse": 0.0,
+      "mean_mse": 0.0,
+      "min_mse": 0.0,
+      "n": 1,
+      "scenario": "SC1",
+      "std_mse": 0.0
+    },
+    {
+      "epsilon": 0.1,
+      "max_mse": 0.002,
+      "mean_mse": 0.002,
+      "min_mse": 0.002,
+      "n": 1,
+      "scenario": "SC2",
+      "std_mse": 0.0
+    }
+  ]
+}
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_REPORTS)
+def test_report_bytes_are_pinned(tmp_path, case):
+    rows, summary_csv, ratios_csv, summary_json = PINNED_REPORTS[case]
+    summary = summarize(ExperimentResult(rows=rows))
+    emit_report(summary, tmp_path, "csv")
+    emit_report(summary, tmp_path, "json")
+    assert (tmp_path / "summary.csv").read_text() == summary_csv
+    assert (tmp_path / "ratios.csv").read_text() == ratios_csv
+    assert (tmp_path / "summary.json").read_text() == summary_json
 
 
 # ------------------------------------------------------------- configuration

@@ -12,11 +12,12 @@ from broadside so the steering phase of element m is pi*m*sin(angle).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
 
+from .config import dump
 from .framing import read_framed, write_framed
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -67,20 +68,6 @@ class UserGrid:
 
 
 @dataclass(frozen=True)
-class Wall:
-    """Finite reflecting segment from (x1, y1) to (x2, y2)."""
-
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-
-    def __post_init__(self):
-        if self.x1 == self.x2 and self.y1 == self.y2:
-            raise ValueError("wall endpoints coincide")
-
-
-@dataclass(frozen=True)
 class ScenarioParams:
     """Everything that pins down one simulated scenario, including its seed."""
 
@@ -93,9 +80,10 @@ class ScenarioParams:
     user_grid: UserGrid = field(
         default_factory=lambda: UserGrid(1.0, 8.0, -3.0, 3.0, 0.2)
     )
-    walls: Tuple[Wall, ...] = (
-        Wall(-2.0, 4.7, 40.0, 4.7),
-        Wall(-2.0, -4.7, 40.0, -4.7),
+    # finite reflecting segments, each from (x1, y1) to (x2, y2)
+    walls: Tuple[Tuple[float, float, float, float], ...] = (
+        (-2.0, 4.7, 40.0, 4.7),
+        (-2.0, -4.7, 40.0, -4.7),
     )
     reflection_coeff: float = 0.7
     max_reflections: int = 1
@@ -113,6 +101,8 @@ class ScenarioParams:
             raise ValueError("bandwidth and wavelength must be positive")
         if not 0.0 < self.reflection_coeff <= 1.0:
             raise ValueError("reflection_coeff must lie in (0, 1]")
+        if any(x1 == x2 and y1 == y2 for x1, y1, x2, y2 in self.walls):
+            raise ValueError("wall endpoints coincide")
         if self.max_reflections not in (0, 1):
             raise ValueError("max_reflections must be 0 or 1")
         if self.codebook_oversampling < 1:
@@ -172,9 +162,9 @@ def _paths(params: ScenarioParams, bs: np.ndarray, users: np.ndarray):
     delays = [dist / SPEED_OF_LIGHT]
 
     walls = params.walls if params.max_reflections >= 1 else ()
-    for wall in walls:
-        p1 = np.array([wall.x1, wall.y1])
-        w = np.array([wall.x2 - wall.x1, wall.y2 - wall.y1])
+    for x1, y1, x2, y2 in walls:
+        p1 = np.array([x1, y1])
+        w = np.array([x2 - x1, y2 - y1])
         unit = w / np.linalg.norm(w)
         off = bs - p1
         image = p1 + 2.0 * (np.dot(off, unit) * unit) - off  # the BS mirrored across the wall
@@ -431,13 +421,6 @@ def split_dataset(ds: Dataset, train_fraction: float, rng) -> Tuple[Dataset, Dat
     return cut(train_X, train_y), cut(*raw(order[n_train:]))
 
 
-def scenario_to_dict(params: ScenarioParams) -> dict:
-    d = asdict(params)
-    d["bs_positions"] = [list(p) for p in params.bs_positions]
-    d["walls"] = [[w.x1, w.y1, w.x2, w.y2] for w in params.walls]
-    return d
-
-
 @dataclass(frozen=True)
 class _DatasetHeader:
     """The JSON header of a dataset file, as save_dataset writes it."""
@@ -458,21 +441,10 @@ class _DatasetHeader:
 
 def save_dataset(ds: Dataset, path) -> None:
     """Framed dataset file (BMDS1): JSON header, then features and labels."""
-    header = {
-        "scenario": scenario_to_dict(ds.scenario),
-        "norm_meta": {
-            "feature_mean": ds.norm_meta.feature_mean.tolist(),
-            "feature_std": ds.norm_meta.feature_std.tolist(),
-            "label_min": ds.norm_meta.label_min,
-            "label_max": ds.norm_meta.label_max,
-            "label_cap": ds.norm_meta.label_cap,
-        },
-        "rows": int(ds.num_rows),
-        "cols": int(ds.num_features),
-        "adversarial": bool(ds.adversarial),
-        "epsilon": ds.epsilon,
-    }
-    write_framed(path, _MAGIC, header, (ds.features, ds.labels))
+    header = _DatasetHeader(
+        ds.scenario, ds.norm_meta, ds.num_rows, ds.num_features, ds.adversarial, ds.epsilon
+    )
+    write_framed(path, _MAGIC, dump(header), (ds.features, ds.labels))
 
 
 def load_dataset(path) -> Dataset:

@@ -1,9 +1,11 @@
-"""Loading of the pipeline's dataclasses from JSON documents.
+"""Loading of the pipeline's dataclasses from JSON documents, and their
+writing back.
 
 One loader serves every experiment config section and the headers of
 dataset files and model checkpoints. It reads each field by its declared
 type and rejects unknown keys, wrong types and non-finite numbers, naming
-the field path.
+the field path. dump is its inverse: it writes the run manifest's config
+and both artifact headers.
 """
 
 from __future__ import annotations
@@ -65,4 +67,16 @@ def _value(kind, value, path: str):
         return kind(value)
     if not isinstance(value, kind):
         raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def dump(value):
+    """The JSON value that load reads back as `value`: a dataclass becomes an
+    object of its fields, a tuple or list a list, an ndarray its tolist()."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: dump(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [dump(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     return value

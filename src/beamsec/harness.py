@@ -14,7 +14,7 @@ import math
 import os
 import platform
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -22,13 +22,7 @@ import numpy as np
 
 from . import __version__, config, numcore
 from .attack import attack_budgets
-from .channel import (
-    ScenarioParams,
-    build_dataset,
-    default_scenario,
-    scenario_to_dict,
-    split_dataset,
-)
+from .channel import ScenarioParams, build_dataset, default_scenario, split_dataset
 from .config import ConfigError
 from .defense import DefenseConfig, adversarial_train
 from .framing import FormatError
@@ -62,6 +56,8 @@ class ExperimentConfig:
             raise ValueError("attack_grid must be nonempty")
         if any(e <= 0 for e in self.attack_grid):
             raise ValueError("attack_grid budgets must be positive")
+        if len({f"{e:.6g}" for e in self.attack_grid}) != len(self.attack_grid):
+            raise ValueError("attack_grid budgets must differ at 6 significant digits")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
         if self.base_seed < 0:
@@ -102,9 +98,10 @@ class ExperimentResult:
 
     @staticmethod
     def from_csv(path) -> "ExperimentResult":
-        """Read a results.csv; a malformed one raises framing.FormatError
+        """Read a results.csv; a malformed one, one with no rows or one that
+        repeats a (scenario, epsilon, repetition) raises framing.FormatError
         naming the file and line."""
-        rows = []
+        rows, lines = [], {}
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
             if header != RESULTS_HEADER:
@@ -123,7 +120,12 @@ class ExperimentResult:
                     raise FormatError(f"{path}:{number}: {exc}") from None
                 if not (math.isfinite(row.epsilon) and math.isfinite(row.mse)):
                     raise FormatError(f"{path}:{number}: non-finite number in {line!r}")
+                first = lines.setdefault((sc, row.epsilon, row.repetition), number)
+                if first != number:
+                    raise FormatError(f"{path}:{number}: duplicate of the row on line {first}")
                 rows.append(row)
+        if not rows:
+            raise FormatError(f"{path}: no result rows")
         return ExperimentResult(rows=rows)
 
 
@@ -286,23 +288,16 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     return config.load(ExperimentConfig, doc)
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    doc = asdict(cfg)
-    doc["scenario"] = scenario_to_dict(cfg.scenario)
-    doc["attack_grid"] = list(cfg.attack_grid)
-    return doc
-
-
 def write_manifest(cfg: ExperimentConfig, path) -> None:
-    """manifest.json of a run: its resolved config and what the result bits
-    also depend on, the numpy build's BLAS and its thread settings (null
-    when unset)."""
+    """manifest.json of a run: its resolved config (config.dump, which
+    config_from_dict reads back) and what the result bits also depend on,
+    the numpy build's BLAS and its thread settings (null when unset)."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy < 1.26 has no dict form
         blas = {}
     manifest = {
-        "config": config_to_dict(cfg),
+        "config": config.dump(cfg),
         "versions": {
             "beamsec": __version__,
             "numpy": np.__version__,

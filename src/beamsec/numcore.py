@@ -8,11 +8,12 @@ what the white-box attack code consumes.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
+from .config import dump
 from .framing import read_framed, write_framed
 
 RELU = "relu"
@@ -31,41 +32,32 @@ class NumericalError(ArithmeticError):
     """Raised when a computation produces NaN/Inf where finite values are required."""
 
 
-@dataclass
-class DenseLayer:
-    """One affine map plus activation; dropout_ratio applies after activation."""
+@dataclass(frozen=True)
+class LayerSpec:
+    """One dense layer: an affine map, its activation, then inverted dropout
+    at dropout_ratio in train mode. Also a checkpoint header's layer entry."""
 
-    weights: np.ndarray  # (out_dim, in_dim)
-    bias: np.ndarray  # (out_dim,)
+    in_dim: int
+    out_dim: int
     activation: str
-    dropout_ratio: float = 0.0
+    dropout_ratio: float
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weights.ndim != 2:
-            raise ValueError("weights must be a 2-D matrix")
-        if self.bias.shape != (self.weights.shape[0],):
-            raise ValueError("bias length must match weight rows")
+        if self.in_dim < 1 or self.out_dim < 1:
+            raise ValueError("layer widths must be at least 1")
         if self.activation not in (RELU, TANH):
             raise ValueError(f"unknown activation: {self.activation!r}")
         if not 0.0 <= self.dropout_ratio < 1.0:
             raise ValueError("dropout_ratio must lie in [0, 1)")
 
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[0]
 
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[1]
+@dataclass(frozen=True)
+class ModelSpec:
+    """The architecture of an MlpModel and the header of its checkpoint."""
 
-
-@dataclass
-class MlpModel:
-    layers: List[DenseLayer]
     input_dim: int
-    rng_seed: int
+    seed: int
+    layers: Tuple[LayerSpec, ...]
 
     def __post_init__(self):
         if not self.layers:
@@ -75,6 +67,33 @@ class MlpModel:
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if nxt.in_dim != prev.out_dim:
                 raise ValueError("layer dimensions do not chain")
+
+    @property
+    def size(self) -> int:
+        """Length of the parameter vector: every layer's weights and bias."""
+        return sum(l.out_dim * (l.in_dim + 1) for l in self.layers)
+
+
+class Layer(NamedTuple):
+    """A layer's spec and views of its weights (out_dim, in_dim) and bias
+    (out_dim,) in the model's parameter vector."""
+
+    spec: LayerSpec
+    weights: np.ndarray
+    bias: np.ndarray
+
+
+class MlpModel:
+    """A ModelSpec and one float64 parameter vector (a copy of `params`);
+    `layers` pairs each LayerSpec with its views into that vector."""
+
+    def __init__(self, spec: ModelSpec, params):
+        self.spec = spec
+        self.params = np.array(params, dtype=np.float64)
+        if self.params.shape != (spec.size,):
+            raise ValueError(f"parameter vector must have shape ({spec.size},)")
+        views = _layer_views(spec, self.params)
+        self.layers = tuple(Layer(l, w, b) for l, (w, b) in zip(spec.layers, views))
 
 
 @dataclass(frozen=True)
@@ -116,38 +135,31 @@ def init_model(
     dropout_ratio: float = 0.25,
 ) -> MlpModel:
     """Build a fresh model: ReLU hidden stack, tanh head, uniform ±1/sqrt(fan_in) weights."""
-    if input_dim < 1:
-        raise ValueError("input_dim must be at least 1")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    if any(h < 1 for h in hidden_dims):
-        raise ValueError("hidden widths must be at least 1")
-    rng = np.random.default_rng(seed)
     dims = [int(input_dim), *[int(h) for h in hidden_dims], 1]
-    layers = []
-    for i in range(len(dims) - 1):
-        fan_in, out = dims[i], dims[i + 1]
-        bound = 1.0 / np.sqrt(fan_in)
-        weights = rng.uniform(-bound, bound, size=(out, fan_in))
-        last = i == len(dims) - 2
-        layers.append(
-            DenseLayer(
-                weights=weights,
-                bias=np.zeros(out),
-                activation=TANH if last else RELU,
-                dropout_ratio=0.0 if last else float(dropout_ratio),
-            )
+    last = len(dims) - 2
+    layers = tuple(
+        LayerSpec(
+            dims[i],
+            dims[i + 1],
+            TANH if i == last else RELU,
+            0.0 if i == last else float(dropout_ratio),
         )
-    return MlpModel(layers=layers, input_dim=int(input_dim), rng_seed=int(seed))
+        for i in range(len(dims) - 1)
+    )
+    spec = ModelSpec(dims[0], int(seed), layers)
+    model = MlpModel(spec, np.zeros(spec.size))
+    rng = np.random.default_rng(seed)
+    for layer in model.layers:
+        bound = 1.0 / np.sqrt(layer.spec.in_dim)
+        layer.weights[...] = rng.uniform(-bound, bound, size=layer.weights.shape)
+    return model
 
 
 def copy_model(model: MlpModel) -> MlpModel:
-    """Deep copy (fresh parameter arrays)."""
-    layers = [
-        DenseLayer(l.weights.copy(), l.bias.copy(), l.activation, l.dropout_ratio)
-        for l in model.layers
-    ]
-    return MlpModel(layers=layers, input_dim=model.input_dim, rng_seed=model.rng_seed)
+    """Deep copy (a fresh parameter vector)."""
+    return MlpModel(model.spec, model.params)
 
 
 class _Workspace:
@@ -162,9 +174,10 @@ class _Workspace:
 
     def __init__(self, model, rows, train):
         self.rows = rows
-        self.width = max(model.input_dim, *(l.out_dim for l in model.layers))
-        self.act = [np.empty((rows, l.out_dim)) for l in model.layers]
-        dropout = [train and l.dropout_ratio > 0.0 for l in model.layers]
+        layers = model.spec.layers
+        self.width = max(model.spec.input_dim, *(l.out_dim for l in layers))
+        self.act = [np.empty((rows, l.out_dim)) for l in layers]
+        dropout = [train and l.dropout_ratio > 0.0 for l in layers]
         self.mask = [np.empty(a.shape) if d else None for a, d in zip(self.act, dropout)]
         self.dropped = [np.empty(a.shape) if d else None for a, d in zip(self.act, dropout)]
         self.caches = []
@@ -190,15 +203,17 @@ def _forward_batch(model, X, rng=None, ws=None):
         ws = _Workspace(model, rows, train=rng is not None)
     out = X
     ws.caches = []
-    for layer, act, mask, dropped in zip(model.layers, ws.act, ws.mask, ws.dropped):
-        act = np.matmul(out, layer.weights.T, out=act[:rows])
-        act += layer.bias
-        if layer.activation == RELU:
+    for (spec, weights, bias), act, mask, dropped in zip(
+        model.layers, ws.act, ws.mask, ws.dropped
+    ):
+        act = np.matmul(out, weights.T, out=act[:rows])
+        act += bias
+        if spec.activation == RELU:
             np.maximum(act, 0.0, out=act)
         else:
             np.tanh(act, out=act)
-        if rng is not None and layer.dropout_ratio > 0.0:
-            keep = 1.0 - layer.dropout_ratio
+        if rng is not None and spec.dropout_ratio > 0.0:
+            keep = 1.0 - spec.dropout_ratio
             # inverted dropout: scale at train time so inference needs no rescale
             mask = rng.random(out=mask[:rows])
             np.less(mask, keep, out=mask)
@@ -221,11 +236,11 @@ def _backward_batch(model, ws, dout, grads=None, need_input_grads=False):
     rows = dout.shape[0]
     delta = dout[:, None]
     for idx in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[idx]
+        spec, weights, _ = model.layers[idx]
         inp, act, mask = ws.caches[idx]
-        dpre = ws.back_buffer(0, rows, layer.out_dim)
-        factor = ws.back_buffer(1, rows, layer.out_dim)
-        if layer.activation == RELU:
+        dpre = ws.back_buffer(0, rows, spec.out_dim)
+        factor = ws.back_buffer(1, rows, spec.out_dim)
+        if spec.activation == RELU:
             np.greater(act, 0.0, out=factor)  # act > 0 exactly where pre > 0
         else:
             np.multiply(act, act, out=factor)
@@ -240,7 +255,7 @@ def _backward_batch(model, ws, dout, grads=None, need_input_grads=False):
             np.matmul(dpre.T, inp, out=dw)
             np.sum(dpre, axis=0, out=db)
         if idx > 0 or need_input_grads:
-            delta = np.matmul(dpre, layer.weights, out=ws.back_buffer(2, rows, layer.in_dim))
+            delta = np.matmul(dpre, weights, out=ws.back_buffer(2, rows, spec.in_dim))
     return delta if need_input_grads else None
 
 
@@ -260,8 +275,8 @@ def predict(model: MlpModel, X) -> np.ndarray:
     """Inference-mode predictions for a (B, input_dim) feature matrix, run
     block by block through one workspace."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.input_dim:
-        raise ValueError(f"feature matrix must have shape (B, {model.input_dim})")
+    if X.ndim != 2 or X.shape[1] != model.spec.input_dim:
+        raise ValueError(f"feature matrix must have shape (B, {model.spec.input_dim})")
     blocks, ws = _blocks(model, X.shape[0])
     preds = np.empty(X.shape[0])
     for rows in blocks:
@@ -285,8 +300,8 @@ def input_gradients(model: MlpModel, X, y) -> np.ndarray:
     features, run block by block through one workspace."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.input_dim:
-        raise ValueError(f"feature matrix must have shape (B, {model.input_dim})")
+    if X.ndim != 2 or X.shape[1] != model.spec.input_dim:
+        raise ValueError(f"feature matrix must have shape (B, {model.spec.input_dim})")
     if y.shape != (X.shape[0],):
         raise ValueError("label vector length must match feature rows")
     blocks, ws = _blocks(model, X.shape[0])
@@ -298,12 +313,15 @@ def input_gradients(model: MlpModel, X, y) -> np.ndarray:
     return grads
 
 
-def _layer_views(model, flat):
-    """Per-layer (weights, bias) views of a flat vector, laid out layer by layer."""
+def _layer_views(spec: ModelSpec, flat):
+    """Per-layer (weights, bias) views of a flat vector of length spec.size:
+    each layer's weights, row-major (out_dim, in_dim), then its bias."""
     views, at = [], 0
-    for layer in model.layers:
-        end = at + layer.weights.size
-        views.append((flat[at:end].reshape(layer.weights.shape), flat[end : end + layer.out_dim]))
+    for layer in spec.layers:
+        end = at + layer.out_dim * layer.in_dim
+        views.append(
+            (flat[at:end].reshape(layer.out_dim, layer.in_dim), flat[end : end + layer.out_dim])
+        )
         at = end + layer.out_dim
     return views
 
@@ -350,26 +368,25 @@ def train(model: MlpModel, data, cfg: TrainConfig, rng) -> Tuple[MlpModel, List[
     `data` is any object exposing `features` (n, input_dim) and `labels` (n,).
     Shuffling and dropout masks are drawn from the supplied generator, so a
     fixed seed reproduces the final weights bit for bit. Labels must lie
-    strictly inside the tanh range (-1, 1). The model is updated in place:
-    its layers' weights and biases become views of one flat parameter vector.
+    strictly inside the tanh range (-1, 1). The model's parameter vector is
+    updated in place.
     """
     X = np.asarray(data.features, dtype=np.float64)
     y = np.asarray(data.labels, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("training data must be a nonempty (n, input_dim) matrix")
-    if X.shape[1] != model.input_dim:
-        raise ValueError(f"feature width {X.shape[1]} does not match input_dim {model.input_dim}")
+    if X.shape[1] != model.spec.input_dim:
+        raise ValueError(
+            f"feature width {X.shape[1]} does not match input_dim {model.spec.input_dim}"
+        )
     if y.shape != (X.shape[0],):
         raise ValueError("label vector length must match feature rows")
     if np.any(np.abs(y) >= 1.0):
         raise ValueError("labels must lie strictly inside the tanh range (-1, 1)")
     n = X.shape[0]
-    params = np.empty(sum(l.weights.size + l.bias.size for l in model.layers))
-    for layer, (w, b) in zip(model.layers, _layer_views(model, params)):
-        w[...], b[...] = layer.weights, layer.bias
-        layer.weights, layer.bias = w, b
+    params = model.params
     grad = np.empty_like(params)
-    grads = _layer_views(model, grad)
+    grads = _layer_views(model.spec, grad)
     state = init_adam_state(params)
     rows = min(cfg.batch_size, n)
     ws = _Workspace(model, rows, train=True)
@@ -407,45 +424,20 @@ def fit(data, cfg: TrainConfig, rng) -> Tuple[MlpModel, List[float]]:
     return train(model, data, cfg, rng)
 
 
-@dataclass(frozen=True)
-class _LayerHeader:
-    """One entry of a checkpoint header's layer list."""
-
-    in_dim: int
-    out_dim: int
-    activation: str
-    dropout_ratio: float
-
-
-@dataclass(frozen=True)
-class _ModelHeader:
-    input_dim: int
-    seed: int
-    layers: Tuple[_LayerHeader, ...]
-
-
 def save_model(model: MlpModel, path) -> None:
-    """Framed checkpoint (BMMLP1): JSON header, then each layer's weights and bias."""
-    layers = [
-        _LayerHeader(l.in_dim, l.out_dim, l.activation, l.dropout_ratio) for l in model.layers
-    ]
-    header = asdict(_ModelHeader(model.input_dim, model.rng_seed, layers))
-    write_framed(path, _MAGIC, header, [a for l in model.layers for a in (l.weights, l.bias)])
+    """Framed checkpoint (BMMLP1): the ModelSpec as JSON header, then the
+    parameter vector."""
+    write_framed(path, _MAGIC, dump(model.spec), [model.params])
 
 
 def load_model(path) -> MlpModel:
     """Read a checkpoint; a malformed one raises framing.FormatError.
 
-    The header and each of its layer entries must have exactly the fields of
-    _ModelHeader and _LayerHeader, typed by config.load in read_framed.
+    The header must have exactly the fields of ModelSpec, and each layer
+    entry those of LayerSpec, typed by config.load in read_framed.
     """
 
-    def decode(head, take):
-        layers = []
-        for spec in head.layers:
-            weights = take((spec.out_dim, spec.in_dim))
-            bias = take((spec.out_dim,))
-            layers.append(DenseLayer(weights, bias, spec.activation, spec.dropout_ratio))
-        return MlpModel(layers=layers, input_dim=head.input_dim, rng_seed=head.seed)
+    def decode(spec, take):
+        return MlpModel(spec, take((spec.size,)))
 
-    return read_framed(path, _MAGIC, _ModelHeader, decode)
+    return read_framed(path, _MAGIC, ModelSpec, decode)

@@ -28,8 +28,8 @@ def make_tiny_scenario(seed: int = 7) -> channel.ScenarioParams:
         codebook_oversampling=1,
         user_grid=channel.UserGrid(1.0, 4.0, -1.5, 1.5, 0.25),
         walls=(
-            channel.Wall(-1.0, 2.5, 20.0, 2.5),
-            channel.Wall(-1.0, -2.5, 20.0, -2.5),
+            (-1.0, 2.5, 20.0, 2.5),
+            (-1.0, -2.5, 20.0, -2.5),
         ),
     )
 

@@ -129,21 +129,21 @@ def image_method_paths(params, bs, user):
     paths = [(gain(d), (uy - by) / d, d / SPEED_OF_LIGHT)]
     if params.max_reflections < 1:
         return paths
-    for wall in params.walls:
-        wl = math.hypot(wall.x2 - wall.x1, wall.y2 - wall.y1)
-        ex, ey = (wall.x2 - wall.x1) / wl, (wall.y2 - wall.y1) / wl
+    for x1, y1, x2, y2 in params.walls:
+        wl = math.hypot(x2 - x1, y2 - y1)
+        ex, ey = (x2 - x1) / wl, (y2 - y1) / wl
 
         def along(px, py):
-            return (px - wall.x1) * ex + (py - wall.y1) * ey
+            return (px - x1) * ex + (py - y1) * ey
 
         def offset(px, py):  # signed distance from the wall's line
-            return (py - wall.y1) * ex - (px - wall.x1) * ey
+            return (py - y1) * ex - (px - x1) * ey
 
         side_bs, side_user = offset(bx, by), offset(ux, uy)
         if side_bs * side_user <= 0.0:
             continue
-        ix = wall.x1 + along(bx, by) * ex + side_bs * ey
-        iy = wall.y1 + along(bx, by) * ey - side_bs * ex
+        ix = x1 + along(bx, by) * ex + side_bs * ey
+        iy = y1 + along(bx, by) * ey - side_bs * ex
         t = side_bs / (side_bs + side_user)  # where image -> user meets the line
         px, py = ix + t * (ux - ix), iy + t * (uy - iy)
         if not 0.0 <= along(px, py) <= wl:
@@ -327,10 +327,10 @@ def _reference_forward(model, X, rng=None):
     caches = []
     for layer in model.layers:
         pre = out @ layer.weights.T + layer.bias
-        act = np.maximum(pre, 0.0) if layer.activation == numcore.RELU else np.tanh(pre)
+        act = np.maximum(pre, 0.0) if layer.spec.activation == numcore.RELU else np.tanh(pre)
         mask = None
-        if rng is not None and layer.dropout_ratio > 0.0:
-            keep = 1.0 - layer.dropout_ratio
+        if rng is not None and layer.spec.dropout_ratio > 0.0:
+            keep = 1.0 - layer.spec.dropout_ratio
             mask = (rng.random(act.shape) < keep) / keep
         caches.append((out, pre, act, mask))
         out = act if mask is None else act * mask
@@ -345,7 +345,7 @@ def _reference_backward(model, caches, dout):
         inp, pre, act, mask = caches[idx]
         if mask is not None:
             delta = delta * mask
-        if model.layers[idx].activation == numcore.RELU:
+        if model.layers[idx].spec.activation == numcore.RELU:
             dpre = delta * (pre > 0.0)
         else:
             dpre = delta * (1.0 - act * act)
@@ -364,12 +364,12 @@ def _reference_adam_step(model, grads, moments, cfg, t):
         m_w += (1.0 - b1) * dw
         v_w *= b2
         v_w += (1.0 - b2) * dw * dw
-        layer.weights -= lr * (m_w / c1) / (np.sqrt(v_w / c2) + eps)
+        layer.weights[...] -= lr * (m_w / c1) / (np.sqrt(v_w / c2) + eps)
         m_b *= b1
         m_b += (1.0 - b1) * db
         v_b *= b2
         v_b += (1.0 - b2) * db * db
-        layer.bias -= lr * (m_b / c1) / (np.sqrt(v_b / c2) + eps)
+        layer.bias[...] -= lr * (m_b / c1) / (np.sqrt(v_b / c2) + eps)
 
 
 def reference_train(model, data, cfg, rng):

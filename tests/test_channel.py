@@ -18,7 +18,6 @@ from beamsec.channel import (
     Dataset,
     ScenarioParams,
     UserGrid,
-    Wall,
     beam_rates,
     build_dataset,
     channels,
@@ -164,8 +163,8 @@ def test_bounce_gain_matches_image_length(tiny_scenario):
     pos = np.array([2.0, 0.5])
     gains, _, delays, bounces = path_table(params, pos)
     lam = params.carrier_wavelength_m
-    for wall in params.walls:
-        image = np.array([0.0, 2 * wall.y1])  # BS at origin mirrored across y=wall
+    for _, wall_y, _, _ in params.walls:
+        image = np.array([0.0, 2 * wall_y])  # BS at origin mirrored across y=wall_y
         length = float(np.linalg.norm(pos - image))
         expect = params.reflection_coeff * (lam / (4 * math.pi * length)) * np.exp(
             -2j * math.pi * length / lam
@@ -182,7 +181,7 @@ def short_walls(params: ScenarioParams) -> ScenarioParams:
     """Walls that some bounces miss: a segment above the grid that covers
     only part of it, and one standing inside the grid, which users beyond it
     see from the other side."""
-    return replace(params, walls=(Wall(2.0, 4.7, 5.0, 4.7), Wall(4.5, -0.93, 4.5, 1.07)))
+    return replace(params, walls=((2.0, 4.7, 5.0, 4.7), (4.5, -0.93, 4.5, 1.07)))
 
 
 def test_channel_tensor_is_sum_of_path_responses():
@@ -598,4 +597,4 @@ def test_scenario_params_validation():
     with pytest.raises(ValueError):
         replace(default_scenario(), num_antennas=0)
     with pytest.raises(ValueError):
-        Wall(1.0, 1.0, 1.0, 1.0)
+        replace(default_scenario(), walls=((1.0, 1.0, 1.0, 1.0),))

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from beamsec import cli, harness, numcore
+from beamsec import cli, config, harness, numcore
 from beamsec.channel import Dataset, build_dataset, load_dataset, save_dataset
 from beamsec.defense import DefenseConfig
 from beamsec.framing import write_framed
-from beamsec.harness import ExperimentConfig, config_to_dict
+from beamsec.harness import ExperimentConfig
 
 from conftest import make_tiny_scenario
 
@@ -35,7 +35,7 @@ def tiny_config_path(tmp_path):
         num_instances=300,
     )
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config_to_dict(cfg)))
+    path.write_text(json.dumps(config.dump(cfg)))
     return path
 
 
@@ -180,6 +180,22 @@ def test_non_finite_config_exits_2(runner, tmp_path, monkeypatch, doc, field):
     assert "config error" in result.output and field in result.output
 
 
+@pytest.mark.parametrize("eps", ["0.1,0.1,0.05", "0.05,0.1,0.1000001"])
+def test_budgets_printed_alike_exit_2(runner, tmp_path, monkeypatch, eps):
+    """Budgets that results.csv would print alike would share its rows: the
+    run is refused before a dataset is built."""
+
+    def no_dataset(*args, **kwargs):
+        raise AssertionError("a dataset was built from a rejected config")
+
+    monkeypatch.setattr(harness, "build_dataset", no_dataset)
+    out = tmp_path / "s"
+    result = runner.invoke(cli.main, ["run", "--reps", "1", "--eps", eps, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "config error" in result.output and "attack_grid" in result.output
+    assert not out.exists()
+
+
 # Checkpoint headers that differ from save_model's by one field each.
 MODEL_HEADER_EDITS = {
     "model_input_dim_float": lambda h: h.update(input_dim=8.0),
@@ -229,18 +245,9 @@ def test_malformed_artifact_exits_3(runner, tmp_path, case):
         "attack", "--model", str(path), "--data", str(data), "--eps", "0.1", "--out", out,
     ]
     if case in MODEL_HEADER_EDITS:
-        header = {
-            "input_dim": 8,
-            "seed": 0,
-            "layers": [
-                {"in_dim": l.in_dim, "out_dim": l.out_dim, "activation": l.activation,
-                 "dropout_ratio": l.dropout_ratio}
-                for l in net.layers
-            ],
-        }
+        header = config.dump(net.spec)
         MODEL_HEADER_EDITS[case](header)
-        arrays = [a for l in net.layers for a in (l.weights, l.bias)]
-        write_framed(bad, b"BMMLP1", header, arrays)
+        write_framed(bad, b"BMMLP1", header, [net.params])
         argv = attack_with(bad)
     elif case in DATASET_HEADER_EDITS:
         blob = data.read_bytes()
@@ -339,7 +346,7 @@ def test_run_manifest_round_trips_the_config(runner, tmp_path, tiny_config_path,
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest) == {"config", "versions", "blas", "env"}
     cfg = harness.config_from_dict(manifest["config"])
-    assert config_to_dict(cfg) == manifest["config"]
+    assert config.dump(cfg) == manifest["config"]
     assert cfg.attack_grid == (0.1,) and cfg.output_dir == str(out)
     assert cfg.scenario == harness.load_config(tiny_config_path).scenario
     assert manifest["versions"]["numpy"] == np.__version__
@@ -354,11 +361,15 @@ def test_run_manifest_round_trips_the_config(runner, tmp_path, tiny_config_path,
         ("SC1,0,0", r"results\.csv:3: expected 4 fields, got 3"),
         ("SC1,0,1,nan", r"results\.csv:3: non-finite"),
         ("SC1,0,1,0.5x", r"results\.csv:3: could not convert"),
+        ("SC1,0.0,0,0.02", r"results\.csv:3: duplicate of the row on line 2"),
+        (None, r"results\.csv: no result rows"),
     ],
 )
 def test_malformed_results_csv_exits_3(runner, tmp_path, line, message):
+    """Each line follows a header and one SC1 row; None leaves the header alone."""
     path = tmp_path / "results.csv"
-    path.write_text(f"scenario,epsilon,repetition,mse\nSC1,0,0,0.01\n{line}\n")
+    rows = "" if line is None else f"SC1,0,0,0.01\n{line}\n"
+    path.write_text(f"scenario,epsilon,repetition,mse\n{rows}")
     result = runner.invoke(cli.main, ["report", "--results", str(path), "--out", str(tmp_path / "r")])
     assert result.exit_code == 3, result.output
     assert re.search("format error: .*" + message, result.output), result.output

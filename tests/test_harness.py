@@ -9,9 +9,9 @@ from typing import List
 import numpy as np
 import pytest
 
-from beamsec import numcore
+from beamsec import config, numcore
 from beamsec.attack import AttackConfig, attack_dataset
-from beamsec.channel import UserGrid, Wall
+from beamsec.channel import UserGrid
 from beamsec.defense import DefenseConfig
 from beamsec.harness import (
     ConfigError,
@@ -20,7 +20,6 @@ from beamsec.harness import (
     ResultRow,
     SummaryRow,
     config_from_dict,
-    config_to_dict,
     emit_report,
     load_config,
     run_experiment,
@@ -426,7 +425,7 @@ def test_config_defaults_round_trip():
     assert cfg.base_seed == 1
     assert cfg.attack_grid == tuple(round(0.01 * i, 2) for i in range(1, 11))
     assert cfg.num_instances == 12500
-    rebuilt = config_from_dict(config_to_dict(cfg))
+    rebuilt = config_from_dict(config.dump(cfg))
     assert rebuilt == cfg
 
 
@@ -476,7 +475,7 @@ def test_config_scenario_overrides_apply():
     cfg = config_from_dict(doc)
     assert cfg.scenario.num_antennas == 8
     assert cfg.scenario.user_grid == UserGrid(1.0, 2.0, 0.0, 1.0, 0.5)
-    assert cfg.scenario.walls == (Wall(-1.0, 3.0, 10.0, 3.0),)
+    assert cfg.scenario.walls == ((-1.0, 3.0, 10.0, 3.0),)
     assert cfg.attack_grid == (0.05,)
 
 
@@ -497,6 +496,8 @@ def test_experiment_config_validation(tiny_scenario):
         tiny_config(tiny_scenario, attack_grid=())
     with pytest.raises(ValueError):
         tiny_config(tiny_scenario, attack_grid=(0.0,))
+    with pytest.raises(ValueError, match="6 significant digits"):
+        tiny_config(tiny_scenario, attack_grid=(0.1, 0.05, 0.1000001))
     with pytest.raises(ValueError):
         tiny_config(tiny_scenario, repetitions=0)
     with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 from beamsec import numcore
-from beamsec.numcore import DenseLayer, MlpModel, TrainConfig
+from beamsec.numcore import LayerSpec, MlpModel, ModelSpec, TrainConfig
 from conftest import row_gradients
 
 
@@ -51,14 +51,14 @@ def test_init_layer_dimensions():
     model = numcore.init_model(16, 3)
     shapes = [l.weights.shape for l in model.layers]
     assert shapes == [(100, 16), (100, 100), (100, 100), (1, 100)]
-    assert [l.activation for l in model.layers] == ["relu", "relu", "relu", "tanh"]
-    assert [l.dropout_ratio for l in model.layers] == [0.25, 0.25, 0.25, 0.0]
+    assert [l.spec.activation for l in model.layers] == ["relu", "relu", "relu", "tanh"]
+    assert [l.spec.dropout_ratio for l in model.layers] == [0.25, 0.25, 0.25, 0.0]
 
 
 def test_init_weight_range_and_zero_bias():
     model = numcore.init_model(9, 11)
     for layer in model.layers:
-        bound = 1.0 / math.sqrt(layer.in_dim)
+        bound = 1.0 / math.sqrt(layer.spec.in_dim)
         assert np.all(np.abs(layer.weights) <= bound)
         assert np.all(layer.bias == 0.0)
 
@@ -73,10 +73,37 @@ def test_init_rejects_bad_dims():
 
 
 def test_model_dimension_chain_enforced():
-    good = DenseLayer(np.zeros((3, 2)), np.zeros(3), "relu")
-    bad = DenseLayer(np.zeros((1, 4)), np.zeros(1), "tanh")
+    good = LayerSpec(2, 3, "relu", 0.0)
+    bad = LayerSpec(4, 1, "tanh", 0.0)
     with pytest.raises(ValueError):
-        MlpModel(layers=[good, bad], input_dim=2, rng_seed=0)
+        ModelSpec(input_dim=2, seed=0, layers=(good, bad))
+
+
+def test_model_is_its_spec_and_one_parameter_vector():
+    """MlpModel copies the vector it is given, checks its length, and each
+    layer's weights and bias view that copy in layer order."""
+    spec = ModelSpec(2, 0, (LayerSpec(2, 3, "relu", 0.0), LayerSpec(3, 1, "tanh", 0.0)))
+    assert spec.size == 3 * 2 + 3 + 1 * 3 + 1
+    params = np.arange(spec.size, dtype=np.float64)
+    model = MlpModel(spec, params)
+    params[0] = -1.0
+    assert model.params[0] == 0.0
+    (first, head) = model.layers
+    assert np.array_equal(first.weights, [[0, 1], [2, 3], [4, 5]])
+    assert np.array_equal(first.bias, [6, 7, 8])
+    assert np.array_equal(head.weights, [[9, 10, 11]]) and np.array_equal(head.bias, [12])
+    model.params[12] = 5.0
+    assert head.bias[0] == 5.0
+    with pytest.raises(ValueError):
+        MlpModel(spec, np.zeros(spec.size + 1))
+    with pytest.raises(ValueError):
+        LayerSpec(2, 0, "relu", 0.0)
+    with pytest.raises(ValueError):
+        LayerSpec(2, 3, "sigmoid", 0.0)
+    with pytest.raises(ValueError):
+        LayerSpec(2, 3, "relu", 1.0)
+    with pytest.raises(ValueError):
+        ModelSpec(2, 0, ())
 
 
 # ------------------------------------------------------------------- forward
@@ -90,16 +117,15 @@ def test_forward_zero_weights_gives_zero():
 
 
 def test_forward_single_tanh_layer_closed_form():
-    layer = DenseLayer(np.array([[2.0]]), np.zeros(1), "tanh")
-    model = MlpModel(layers=[layer], input_dim=1, rng_seed=0)
+    model = MlpModel(ModelSpec(1, 0, (LayerSpec(1, 1, "tanh", 0.0),)), [2.0, 0.0])
     assert numcore.predict(model, [[0.5]])[0] == pytest.approx(math.tanh(1.0), abs=1e-12)
 
 
 def test_forward_relu_kills_negative_units():
     # one hidden unit fires, one is clamped; only the first reaches the head
-    hidden = DenseLayer(np.array([[1.0], [-1.0]]), np.zeros(2), "relu")
-    head = DenseLayer(np.array([[1.0, 1.0]]), np.zeros(1), "tanh")
-    model = MlpModel(layers=[hidden, head], input_dim=1, rng_seed=0)
+    spec = ModelSpec(1, 0, (LayerSpec(1, 2, "relu", 0.0), LayerSpec(2, 1, "tanh", 0.0)))
+    # hidden weights [[1], [-1]] and zero bias, head weights [[1, 1]] and zero bias
+    model = MlpModel(spec, [1.0, -1.0, 0.0, 0.0, 1.0, 1.0, 0.0])
     assert numcore.predict(model, [[0.3]])[0] == pytest.approx(math.tanh(0.3), abs=1e-12)
 
 
@@ -107,7 +133,7 @@ def test_forward_output_in_open_unit_interval():
     rng = np.random.default_rng(2024)
     for _ in range(50):
         model = random_small_model(rng)
-        x = rng.normal(size=model.input_dim) * 10.0
+        x = rng.normal(size=model.spec.input_dim) * 10.0
         out = numcore.predict(model, x[None, :])[0]
         assert -1.0 < out < 1.0
 
@@ -141,12 +167,12 @@ def test_dropout_masks_are_seed_deterministic():
 def test_predict_matches_forward_rows():
     rng = np.random.default_rng(3)
     model = random_small_model(rng)
-    X = rng.normal(size=(10, model.input_dim))
+    X = rng.normal(size=(10, model.spec.input_dim))
     preds = numcore.predict(model, X)
     for i in range(10):
         assert preds[i] == pytest.approx(numcore.predict(model, X[i : i + 1])[0], abs=1e-15)
     with pytest.raises(ValueError):
-        numcore.predict(model, X[:, :-1] if model.input_dim > 1 else X[:, [0, 0]])
+        numcore.predict(model, X[:, :-1] if model.spec.input_dim > 1 else X[:, [0, 0]])
 
 
 # ------------------------------------------------------------------ mse_loss
@@ -181,7 +207,7 @@ def test_backward_zero_weight_net_has_zero_input_grad():
 def test_backward_sign_flips_with_error_sign():
     rng = np.random.default_rng(11)
     model = random_small_model(rng)
-    x = rng.normal(size=model.input_dim)
+    x = rng.normal(size=model.spec.input_dim)
     pred = numcore.predict(model, x[None, :])[0]
     lo_params, lo_input = row_gradients(model, x, pred - 0.2)
     hi_params, hi_input = row_gradients(model, x, pred + 0.2)
@@ -195,7 +221,7 @@ def test_backward_matches_finite_differences_spot():
     rng = np.random.default_rng(5)
     for _ in range(10):
         model = random_small_model(rng)
-        x = rng.normal(size=model.input_dim)
+        x = rng.normal(size=model.spec.input_dim)
         y = float(rng.uniform(-0.9, 0.9))
         params, input_grad = row_gradients(model, x, y)
         fd_params, fd_x = oracles.fd_gradients(model, x, y)
@@ -208,7 +234,7 @@ def test_backward_matches_finite_differences_spot():
 def test_input_gradients_match_backward_per_row():
     rng = np.random.default_rng(13)
     model = random_small_model(rng)
-    X = rng.normal(size=(8, model.input_dim))
+    X = rng.normal(size=(8, model.spec.input_dim))
     y = rng.uniform(-0.9, 0.9, size=8)
     grads = numcore.input_gradients(model, X, y)
     for i in range(8):
@@ -233,11 +259,11 @@ def test_blocked_passes_equal_full_batch_bit_for_bit(which, tiny_trained):
     model = tiny_trained.model if which == "tiny_trained" else numcore.init_model(16, 21)
     rng = np.random.default_rng(17)
     for n in BLOCK_EDGE_ROWS:
-        X = rng.normal(size=(n, model.input_dim))
+        X = rng.normal(size=(n, model.spec.input_dim))
         y = rng.uniform(-0.9, 0.9, size=n)
         preds = numcore.predict(model, X)
         grads = numcore.input_gradients(model, X, y)
-        assert preds.shape == (n,) and grads.shape == (n, model.input_dim)
+        assert preds.shape == (n,) and grads.shape == (n, model.spec.input_dim)
         assert np.array_equal(preds, oracles.full_batch_predict(model, X)), n
         assert np.array_equal(grads, oracles.full_batch_input_gradients(model, X, y)), n
 
@@ -405,13 +431,11 @@ def test_model_save_load_round_trip(tmp_path):
     path = tmp_path / "model.bin"
     numcore.save_model(model, path)
     loaded = numcore.load_model(path)
-    assert loaded.input_dim == model.input_dim
-    assert loaded.rng_seed == model.rng_seed
+    assert loaded.spec == model.spec
+    assert np.array_equal(loaded.params, model.params)
     for la, lb in zip(model.layers, loaded.layers):
         assert np.array_equal(la.weights, lb.weights)
         assert np.array_equal(la.bias, lb.bias)
-        assert la.activation == lb.activation
-        assert la.dropout_ratio == lb.dropout_ratio
 
 
 def test_model_load_rejects_bad_magic(tmp_path):

@@ -43,11 +43,6 @@ def _value(kind, value, path: str):
         (inner,) = [a for a in typing.get_args(kind) if a is not type(None)]
         return None if value is None else _value(inner, value, path)
     if dataclasses.is_dataclass(kind):
-        if isinstance(value, list):  # a dataclass may be written as its fields in order
-            names = [f.name for f in dataclasses.fields(kind)]
-            if len(value) != len(names):
-                raise ConfigError(f"{path}: expected {len(names)} values, got {value!r}")
-            value = dict(zip(names, value))
         return load(kind, value, path)
     if typing.get_origin(kind) is tuple or kind is np.ndarray:
         if not isinstance(value, list):

@@ -98,9 +98,10 @@ class ExperimentResult:
 
     @staticmethod
     def from_csv(path) -> "ExperimentResult":
-        """Read a results.csv; a malformed one, one with no rows or one that
-        repeats a (scenario, epsilon, repetition) raises framing.FormatError
-        naming the file and line."""
+        """Read a results.csv; a malformed one, one with no rows, one that
+        repeats a (scenario, epsilon, repetition), or a row run never writes
+        (a negative repetition or epsilon, an SC1 row at a nonzero epsilon)
+        raises framing.FormatError naming the file and line."""
         rows, lines = [], {}
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
@@ -120,6 +121,10 @@ class ExperimentResult:
                     raise FormatError(f"{path}:{number}: {exc}") from None
                 if not (math.isfinite(row.epsilon) and math.isfinite(row.mse)):
                     raise FormatError(f"{path}:{number}: non-finite number in {line!r}")
+                if row.repetition < 0 or row.epsilon < 0:
+                    raise FormatError(f"{path}:{number}: negative repetition or epsilon")
+                if sc == SC1 and row.epsilon != 0:
+                    raise FormatError(f"{path}:{number}: SC1 row at nonzero epsilon {eps}")
                 first = lines.setdefault((sc, row.epsilon, row.repetition), number)
                 if first != number:
                     raise FormatError(f"{path}:{number}: duplicate of the row on line {first}")

@@ -8,6 +8,10 @@ what the white-box attack code consumes.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
 from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence, Tuple
 
@@ -26,6 +30,13 @@ _MAGIC = b"BMMLP1"
 # one takes the remainder) their bits equal one pass over all rows on
 # OpenBLAS 0.3.31; shorter blocks take other BLAS kernels and move the bits.
 _BLOCK_ROWS = 512
+
+# OpenBLAS's thread-count getter under the names numpy builds export it by.
+_BLAS_THREADS_SYMBOLS = (
+    "scipy_openblas_get_num_threads64_",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+)
 
 
 class NumericalError(ArithmeticError):
@@ -168,26 +179,26 @@ class _Workspace:
     The forward pass writes each layer's activation, and in train mode its
     dropout mask and dropped output, into buffers of its own; `caches` holds
     each layer's (input, activation, mask) views from the last forward pass.
-    The backward pass shares three buffers across layers, sized to the
-    widest layer and allocated on its first use.
+    With `backward`, one more buffer, sized to the widest layer, holds the
+    backward pass's delta; that pass also overwrites each activation with
+    its layer's derivative. Every buffer is allocated here, so a workspace
+    made in one thread and used in another puts nothing on the second
+    thread's heap.
     """
 
-    def __init__(self, model, rows, train):
-        self.rows = rows
+    def __init__(self, model, rows, train, backward):
         layers = model.spec.layers
-        self.width = max(model.spec.input_dim, *(l.out_dim for l in layers))
+        width = max(model.spec.input_dim, *(l.out_dim for l in layers))
         self.act = [np.empty((rows, l.out_dim)) for l in layers]
         dropout = [train and l.dropout_ratio > 0.0 for l in layers]
         self.mask = [np.empty(a.shape) if d else None for a, d in zip(self.act, dropout)]
         self.dropped = [np.empty(a.shape) if d else None for a, d in zip(self.act, dropout)]
         self.caches = []
-        self.back = None
+        self.delta = np.empty(rows * width) if backward else None
 
-    def back_buffer(self, which, rows, width):
-        """Backward buffer 0 (dpre), 1 (factor) or 2 (delta) as a (rows, width) view."""
-        if self.back is None:
-            self.back = np.empty((3, self.rows * self.width))
-        return self.back[which, : rows * width].reshape(rows, width)
+    def delta_view(self, rows, width):
+        """The delta buffer as a (rows, width) array."""
+        return self.delta[: rows * width].reshape(rows, width)
 
 
 def _forward_batch(model, X, rng=None, ws=None):
@@ -195,12 +206,13 @@ def _forward_batch(model, X, rng=None, ws=None):
 
     With an rng the pass is in train mode and draws dropout masks from it;
     without one it is the inference pass. Every layer writes into the
-    buffers of `ws` (a fresh workspace when None), which then holds the
-    caches of the backward pass; preds is a view into it.
+    buffers of `ws` (a fresh workspace, backward buffer included, when
+    None), which then holds the caches of the backward pass. preds is a
+    view into it, which the backward pass clobbers: read it first.
     """
     rows = X.shape[0]
     if ws is None:
-        ws = _Workspace(model, rows, train=rng is not None)
+        ws = _Workspace(model, rows, train=rng is not None, backward=True)
     out = X
     ws.caches = []
     for (spec, weights, bias), act, mask, dropped in zip(
@@ -228,59 +240,128 @@ def _forward_batch(model, X, rng=None, ws=None):
 
 
 def _backward_batch(model, ws, dout, grads=None, need_input_grads=False):
-    """Reverse pass through the last forward pass of workspace `ws`. dout is
-    dLoss/dpred, shape (B,). Writes each layer's (dW, db) into the matching
-    pair of `grads` when given; returns dLoss/dX when need_input_grads, else
-    None.
+    """Reverse pass through the last forward pass of workspace `ws`, which
+    must have its backward buffer. dout is dLoss/dpred, shape (B,). Writes
+    each layer's (dW, db) into the matching pair of `grads` when given;
+    returns dLoss/dX when need_input_grads, else None.
+
+    Each layer's derivative wrt its pre-activation overwrites its own
+    activation, which is dead once the activation's derivative is formed,
+    and the dropout mask multiplies delta in the delta buffer. So the pass
+    needs that one buffer beyond the forward pass's, and it destroys the
+    caches. It forms derivative·(delta·mask) where (delta·mask)·derivative
+    was formed before: a floating-point product commutes exactly, so the
+    bits are the same.
     """
     rows = dout.shape[0]
     delta = dout[:, None]
     for idx in range(len(model.layers) - 1, -1, -1):
         spec, weights, _ = model.layers[idx]
-        inp, act, mask = ws.caches[idx]
-        dpre = ws.back_buffer(0, rows, spec.out_dim)
-        factor = ws.back_buffer(1, rows, spec.out_dim)
-        if spec.activation == RELU:
-            np.greater(act, 0.0, out=factor)  # act > 0 exactly where pre > 0
-        else:
-            np.multiply(act, act, out=factor)
-            np.subtract(1.0, factor, out=factor)
+        inp, dpre, mask = ws.caches[idx]
         if mask is not None:
-            np.multiply(delta, mask, out=dpre)
-            dpre *= factor
+            delta = np.multiply(delta, mask, out=ws.delta_view(rows, spec.out_dim))
+        if spec.activation == RELU:
+            np.greater(dpre, 0.0, out=dpre)  # act > 0 exactly where pre > 0
         else:
-            np.multiply(delta, factor, out=dpre)
+            np.multiply(dpre, dpre, out=dpre)
+            np.subtract(1.0, dpre, out=dpre)
+        dpre *= delta
         if grads is not None:
             dw, db = grads[idx]
             np.matmul(dpre.T, inp, out=dw)
             np.sum(dpre, axis=0, out=db)
         if idx > 0 or need_input_grads:
-            delta = np.matmul(dpre, weights, out=ws.back_buffer(2, rows, spec.in_dim))
+            delta = np.matmul(dpre, weights, out=ws.delta_view(rows, spec.in_dim))
     return delta if need_input_grads else None
 
 
-def _blocks(model, n):
-    """Row slices covering n rows in _BLOCK_ROWS-row blocks, the remainder
-    folded into the last block (one block when n < _BLOCK_ROWS), and an
-    inference workspace sized to that last, largest block."""
+@functools.cache
+def _blas_threads_getter():
+    """OpenBLAS's thread-count getter from the BLAS numpy links (looked up
+    through numpy's linear-algebra extension, which links it on numpy 1 and
+    2 alike), or None when that BLAS exports none of _BLAS_THREADS_SYMBOLS."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except OSError:
+        return None
+    for name in _BLAS_THREADS_SYMBOLS:
+        getter = getattr(lib, name, None)
+        if getter is not None:
+            getter.argtypes = []
+            getter.restype = ctypes.c_int
+            return getter
+    return None
+
+
+def _pass_threads():
+    """How many threads a blocked pass may run on: the usable cores divided
+    by OpenBLAS's own thread count, at least 1; 1 when that count cannot be
+    asked."""
+    getter = _blas_threads_getter()
+    if getter is None or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, len(os.sched_getaffinity(0)) // max(1, getter()))
+
+
+def _blocks(model, n, backward, work):
+    """Call work(ws, rows) for the row slices covering n rows in
+    _BLOCK_ROWS-row blocks, the remainder folded into the last block (one
+    block when n < _BLOCK_ROWS).
+
+    The blocks are split into contiguous runs, one per thread, on
+    min(blocks, _pass_threads()) threads: the calling thread takes the first
+    run and helper threads the rest. Every run's inference workspace, sized
+    to its largest block, is allocated here in the calling thread, so no
+    buffer lands on a helper's heap. Each block is the same product
+    whichever thread runs it, so the bits do not depend on the thread count.
+    An error in any run is raised here, after every helper has finished.
+    """
     count = max(1, n // _BLOCK_ROWS)
-    rows = [
+    blocks = [
         slice(i * _BLOCK_ROWS, n if i == count - 1 else (i + 1) * _BLOCK_ROWS)
         for i in range(count)
     ]
-    return rows, _Workspace(model, n - rows[-1].start, train=False)
+    threads = min(count, _pass_threads())
+    bounds = [count * i // threads for i in range(threads + 1)]
+    runs = [blocks[a:b] for a, b in zip(bounds, bounds[1:])]
+    workspaces = [
+        _Workspace(model, run[-1].stop - run[-1].start, train=False, backward=backward)
+        for run in runs
+    ]
+
+    errors = []
+
+    def run_blocks(run, ws):
+        try:
+            for rows in run:
+                work(ws, rows)
+        except BaseException as exc:  # raised again in the calling thread
+            errors.append(exc)
+
+    helpers = [
+        threading.Thread(target=run_blocks, args=job) for job in zip(runs[1:], workspaces[1:])
+    ]
+    for thread in helpers:
+        thread.start()
+    run_blocks(runs[0], workspaces[0])
+    for thread in helpers:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def predict(model: MlpModel, X) -> np.ndarray:
     """Inference-mode predictions for a (B, input_dim) feature matrix, run
-    block by block through one workspace."""
+    block by block (see _blocks)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.spec.input_dim:
         raise ValueError(f"feature matrix must have shape (B, {model.spec.input_dim})")
-    blocks, ws = _blocks(model, X.shape[0])
     preds = np.empty(X.shape[0])
-    for rows in blocks:
+
+    def work(ws, rows):
         preds[rows] = _forward_batch(model, X[rows], ws=ws)[0]
+
+    _blocks(model, X.shape[0], False, work)
     return preds
 
 
@@ -297,19 +378,21 @@ def mse_loss(pred, target) -> float:
 
 def input_gradients(model: MlpModel, X, y) -> np.ndarray:
     """Per-row gradients of each row's own squared error wrt that row's
-    features, run block by block through one workspace."""
+    features, run block by block (see _blocks)."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.spec.input_dim:
         raise ValueError(f"feature matrix must have shape (B, {model.spec.input_dim})")
     if y.shape != (X.shape[0],):
         raise ValueError("label vector length must match feature rows")
-    blocks, ws = _blocks(model, X.shape[0])
     grads = np.empty(X.shape)
-    for rows in blocks:
+
+    def work(ws, rows):
         preds, _ = _forward_batch(model, X[rows], ws=ws)
         dout = 2.0 * (preds - y[rows])
         grads[rows] = _backward_batch(model, ws, dout, need_input_grads=True)
+
+    _blocks(model, X.shape[0], True, work)
     return grads
 
 
@@ -389,7 +472,7 @@ def train(model: MlpModel, data, cfg: TrainConfig, rng) -> Tuple[MlpModel, List[
     grads = _layer_views(model.spec, grad)
     state = init_adam_state(params)
     rows = min(cfg.batch_size, n)
-    ws = _Workspace(model, rows, train=True)
+    ws = _Workspace(model, rows, train=True, backward=True)
     xb_buf, yb_buf = np.empty((rows, X.shape[1])), np.empty(rows)
     t = 0
     history = []

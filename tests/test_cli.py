@@ -362,6 +362,9 @@ def test_run_manifest_round_trips_the_config(runner, tmp_path, tiny_config_path,
         ("SC1,0,1,nan", r"results\.csv:3: non-finite"),
         ("SC1,0,1,0.5x", r"results\.csv:3: could not convert"),
         ("SC1,0.0,0,0.02", r"results\.csv:3: duplicate of the row on line 2"),
+        ("SC1,0,-3,0.01", r"results\.csv:3: negative repetition or epsilon"),
+        ("SC2,-0.5,0,0.02", r"results\.csv:3: negative repetition or epsilon"),
+        ("SC1,0.3,1,0.01", r"results\.csv:3: SC1 row at nonzero epsilon"),
         (None, r"results\.csv: no result rows"),
     ],
 )

@@ -463,6 +463,15 @@ def test_config_type_errors_name_the_field():
         config_from_dict({"repetitions": 0})
 
 
+def test_config_dataclass_field_takes_an_object_only():
+    """A dataclass field is an object of its fields; a list of them in order
+    is rejected, naming the field path."""
+    with pytest.raises(ConfigError, match=r"^scenario\.user_grid: expected an object$"):
+        config_from_dict({"scenario": {"user_grid": [1.0, 2.0, 0.0, 1.0, 0.5]}})
+    with pytest.raises(ConfigError, match=r"^train: expected an object$"):
+        config_from_dict({"train": [0.01, 100, 10, 0.9, 0.999, 1e-8]})
+
+
 def test_config_scenario_overrides_apply():
     doc = {
         "scenario": {

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -245,6 +246,18 @@ def test_input_gradients_match_backward_per_row():
 BLOCK_EDGE_ROWS = (0, 1, 511, 512, 513, 1023, 1024, 1025, 1537, 2500, 10000)
 
 
+def assert_blocked_passes_equal_full_batch(model):
+    rng = np.random.default_rng(17)
+    for n in BLOCK_EDGE_ROWS:
+        X = rng.normal(size=(n, model.spec.input_dim))
+        y = rng.uniform(-0.9, 0.9, size=n)
+        preds = numcore.predict(model, X)
+        grads = numcore.input_gradients(model, X, y)
+        assert preds.shape == (n,) and grads.shape == (n, model.spec.input_dim)
+        assert np.array_equal(preds, oracles.full_batch_predict(model, X)), n
+        assert np.array_equal(grads, oracles.full_batch_input_gradients(model, X, y)), n
+
+
 @pytest.mark.parametrize("which", ["tiny_trained", "fresh_16"])
 def test_blocked_passes_equal_full_batch_bit_for_bit(which, tiny_trained):
     """predict and input_gradients run 512-row blocks, the remainder folded
@@ -257,21 +270,65 @@ def test_blocked_passes_equal_full_batch_bit_for_bit(which, tiny_trained):
     change the last bits.
     """
     model = tiny_trained.model if which == "tiny_trained" else numcore.init_model(16, 21)
-    rng = np.random.default_rng(17)
-    for n in BLOCK_EDGE_ROWS:
-        X = rng.normal(size=(n, model.spec.input_dim))
-        y = rng.uniform(-0.9, 0.9, size=n)
-        preds = numcore.predict(model, X)
-        grads = numcore.input_gradients(model, X, y)
-        assert preds.shape == (n,) and grads.shape == (n, model.spec.input_dim)
-        assert np.array_equal(preds, oracles.full_batch_predict(model, X)), n
-        assert np.array_equal(grads, oracles.full_batch_input_gradients(model, X, y)), n
+    assert_blocked_passes_equal_full_batch(model)
 
 
-def test_blocked_passes_peak_memory():
-    """On 40,000 rows the passes hold one block's buffers, not full-batch
-    ones. One pass over all rows peaks at 183.7 MiB (input_gradients) and
-    91.9 MiB (predict); the gradient output alone is 4.9 MiB."""
+def force_threads(monkeypatch, threads):
+    """Let the blocked passes run on `threads` threads whatever the cores and
+    the BLAS thread count, and record which threads ran a block."""
+    monkeypatch.setattr(numcore, "_pass_threads", lambda: threads)
+    ran = set()
+    forward = numcore._forward_batch
+
+    def recording_forward(*args, **kwargs):
+        ran.add(threading.get_ident())
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(numcore, "_forward_batch", recording_forward)
+    return ran
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+@pytest.mark.parametrize("which", ["tiny_trained", "fresh_16"])
+def test_threaded_blocked_passes_equal_full_batch_bit_for_bit(
+    which, threads, tiny_trained, monkeypatch
+):
+    """The blocks split into contiguous runs, one per thread, and each block
+    is the same product on any thread: the bits equal one pass over all rows."""
+    model = tiny_trained.model if which == "tiny_trained" else numcore.init_model(16, 21)
+    ran = force_threads(monkeypatch, threads)
+    assert_blocked_passes_equal_full_batch(model)
+    ran.clear()
+    numcore.input_gradients(model, np.zeros((2500, model.spec.input_dim)), np.zeros(2500))
+    assert len(ran) == threads
+
+
+def test_error_in_a_helper_thread_propagates(monkeypatch):
+    """An error in a helper's run is raised in the caller, after every helper
+    has ended."""
+    force_threads(monkeypatch, 3)
+    forward = numcore._forward_batch
+    caller = threading.get_ident()
+
+    def failing_forward(*args, **kwargs):
+        if threading.get_ident() != caller:
+            raise ArithmeticError("failed in a helper")
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(numcore, "_forward_batch", failing_forward)
+    model = numcore.init_model(16, 21)
+    X = np.zeros((4096, 16))
+    for call in (
+        lambda: numcore.predict(model, X),
+        lambda: numcore.input_gradients(model, X, np.zeros(4096)),
+    ):
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="failed in a helper"):
+            call()
+        assert threading.active_count() == before
+
+
+def assert_blocked_passes_peak_memory():
     model = numcore.init_model(16, 3)
     rng = np.random.default_rng(3)
     X = rng.normal(size=(40000, 16))
@@ -289,6 +346,19 @@ def test_blocked_passes_peak_memory():
             tracemalloc.stop()
     assert peaks["input_gradients"] <= 16.0, peaks
     assert peaks["predict"] <= 8.0, peaks
+
+
+def test_blocked_passes_peak_memory():
+    """On 40,000 rows the passes hold one block's buffers, not full-batch
+    ones. One pass over all rows peaks at 183.7 MiB (input_gradients) and
+    91.9 MiB (predict); the gradient output alone is 4.9 MiB."""
+    assert_blocked_passes_peak_memory()
+
+
+def test_threaded_blocked_passes_peak_memory(monkeypatch):
+    """On two threads each run holds one block's buffers: the bounds hold."""
+    force_threads(monkeypatch, 2)
+    assert_blocked_passes_peak_memory()
 
 
 # ----------------------------------------------------------------- adam_step

@@ -37,8 +37,6 @@ def attack_budgets(
     budgets = [AttackConfig(epsilon=float(eps)).epsilon for eps in epsilons]
     X = np.asarray(data.features, dtype=np.float64)
     y = np.asarray(data.labels, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.spec.input_dim:
-        raise ValueError(f"feature matrix must have shape (B, {model.spec.input_dim})")
     # grads stays referenced while the budgets are yielded: released here, it
     # let glibc trim and refault the heap on every call (about 5,000 page
     # faults per 10 calls on 40,000 rows)

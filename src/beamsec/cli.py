@@ -171,12 +171,10 @@ def run(config, seed, reps, eps, out, fmt):
     out_dir.mkdir(parents=True, exist_ok=True)
     result.to_csv(out_dir / "results.csv")
     harness.write_manifest(cfg, out_dir / "manifest.json")
-    result.timings_to_csv(out_dir / "timings.csv")
+    result.stages_to_csv(out_dir / "stages.csv")
     summary = harness.summarize(result)
     written = harness.emit_report(summary, out_dir, fmt)
-    click.echo(f"wrote {out_dir / 'results.csv'}")
-    click.echo(f"wrote {out_dir / 'manifest.json'}")
-    for path in written:
+    for path in [out_dir / "results.csv", out_dir / "manifest.json", *written]:
         click.echo(f"wrote {path}")
     for row in summary:
         click.echo(

@@ -82,27 +82,21 @@ def adversarial_train(
 
     atk = AttackConfig(epsilon=def_cfg.epsilon)
     probe = rng.permutation(n)[: max(1, math.ceil(0.1 * n))]
-    clean0, adv0 = _subset_metrics(model, X[probe], y[probe], atk)
-    history = [RoundRecord(0, clean0, adv0, n)]
-    snapshots = [numcore.copy_model(model)]
-
-    pool = _Pool(X, y)
-    rows = n
-    prev_adv = adv0
-    for round_index in range(1, def_cfg.max_rounds):
-        pick = rng.permutation(n)
-        x_adv = attack_dataset(model, _Pool(X[pick], y[pick]), atk)
-        pool = _Pool(np.concatenate([pool.features, x_adv]), np.concatenate([pool.labels, y[pick]]))
-        del x_adv
-        rows += n
-        model, _ = numcore.train(model, pool, train_cfg, rng)
+    pool_x, pool_y, history, snapshots = X, y, [], []
+    for round_index in range(def_cfg.max_rounds):
+        if round_index > 0:
+            pick = rng.permutation(n)
+            pool_x = np.concatenate([pool_x, attack_dataset(model, _Pool(X[pick], y[pick]), atk)])
+            pool_y = np.concatenate([pool_y, y[pick]])
+            model, _ = numcore.train(model, _Pool(pool_x, pool_y), train_cfg, rng)
         clean, adv = _subset_metrics(model, X[probe], y[probe], atk)
-        history.append(RoundRecord(round_index, clean, adv, rows))
+        history.append(RoundRecord(round_index, clean, adv, pool_y.shape[0]))
         snapshots.append(numcore.copy_model(model))
-        improvement = (prev_adv - adv) / prev_adv if prev_adv > 0 else 0.0
-        if improvement < def_cfg.steady_state_rel_tol:
-            break
-        prev_adv = adv
+        if round_index > 0:
+            prev_adv = history[-2].adv_mse
+            improvement = (prev_adv - adv) / prev_adv if prev_adv > 0 else 0.0
+            if improvement < def_cfg.steady_state_rel_tol:
+                break
     return snapshots[kept_round(history).round_index], history
 
 

@@ -35,6 +35,7 @@ DEFAULT_ATTACK_GRID = tuple(round(0.01 * i, 2) for i in range(1, 11))
 
 RESULTS_HEADER = "scenario,epsilon,repetition,mse"
 SUMMARY_HEADER = "scenario,epsilon,mean_mse,std_mse,min_mse,max_mse,n"
+STAGES_HEADER = "repetition,stage,seconds,rows"
 
 _SEED_SALT = 0xB5EC  # keeps harness child streams apart from dataset streams
 
@@ -74,27 +75,26 @@ class ResultRow:
     epsilon: float
     repetition: int
     mse: float
-    wall_time_s: float
 
 
 @dataclass
 class ExperimentResult:
     rows: List[ResultRow]
+    # (repetition, stage, seconds, rows) of each stage run, see _run_repetition
+    stages: List[Tuple[int, str, float, int]] = field(default_factory=list)
 
     def to_csv(self, path) -> None:
-        """Deterministic result table; wall times go to timings_to_csv instead."""
+        """Deterministic result table; wall times go to stages_to_csv instead."""
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(RESULTS_HEADER + "\n")
             for r in self.rows:
                 fh.write(f"{r.scenario_id},{r.epsilon:.6g},{r.repetition},{r.mse:.12g}\n")
 
-    def timings_to_csv(self, path) -> None:
+    def stages_to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("scenario,epsilon,repetition,wall_time_s\n")
-            for r in self.rows:
-                fh.write(
-                    f"{r.scenario_id},{r.epsilon:.6g},{r.repetition},{r.wall_time_s:.6g}\n"
-                )
+            fh.write(STAGES_HEADER + "\n")
+            for repetition, stage, seconds, rows in self.stages:
+                fh.write(f"{repetition},{stage},{seconds:.6g},{rows}\n")
 
     @staticmethod
     def from_csv(path) -> "ExperimentResult":
@@ -116,7 +116,7 @@ class ExperimentResult:
                     raise FormatError(f"{path}:{number}: expected 4 fields, got {len(fields)}")
                 sc, eps, rep, mse = fields
                 try:
-                    row = ResultRow(sc, float(eps), int(rep), float(mse), 0.0)
+                    row = ResultRow(sc, float(eps), int(rep), float(mse))
                 except ValueError as exc:
                     raise FormatError(f"{path}:{number}: {exc}") from None
                 if not (math.isfinite(row.epsilon) and math.isfinite(row.mse)):
@@ -134,52 +134,60 @@ class ExperimentResult:
         return ExperimentResult(rows=rows)
 
 
-def _run_repetition(cfg: ExperimentConfig, repetition: int) -> List[ResultRow]:
+def _run_repetition(cfg: ExperimentConfig, repetition: int, stages: list) -> List[ResultRow]:
+    """One repetition's result rows. As each stage ends, its (repetition,
+    stage, seconds, rows) entry is appended to `stages`, timed from the end
+    of the one before, so the entries tile the repetition."""
     seed = cfg.base_seed + repetition
     params = replace(cfg.scenario, seed=seed)
-    rows: List[ResultRow] = []
-
     t0 = time.perf_counter()
+
+    def lap(stage, rows):
+        nonlocal t0
+        t1 = time.perf_counter()
+        stages.append((repetition, stage, t1 - t0, rows))
+        t0 = t1
+
     dataset = build_dataset(params, cfg.num_instances)
+    lap("build_dataset", cfg.num_instances)
     streams = np.random.SeedSequence([seed, _SEED_SALT]).spawn(3)
     split_rng, train_rng, defense_rng = (np.random.default_rng(s) for s in streams)
     train_ds, test_ds = split_dataset(dataset, cfg.train_fraction, split_rng)
     del dataset
+    lap("split_dataset", cfg.num_instances)
 
     model, _ = numcore.fit(train_ds, cfg.train, train_rng)
+    lap("train", train_ds.num_rows)
     clean_mse = numcore.mse_loss(numcore.predict(model, test_ds.features), test_ds.labels)
-    rows.append(ResultRow(SC1, 0.0, repetition, clean_mse, time.perf_counter() - t0))
+    rows = [ResultRow(SC1, 0.0, repetition, clean_mse)]
+    rows += _attacked_rows(SC2, model, test_ds, cfg.attack_grid, repetition)
+    lap("attack_sc2", test_ds.num_rows)
 
-    rows += _attacked_rows(SC2, model, test_ds, cfg.attack_grid, repetition, 0.0)
-
-    t0 = time.perf_counter()
-    robust, _history = adversarial_train(model, train_ds, cfg.train, cfg.defense, defense_rng)
-    setup = time.perf_counter() - t0
-    rows += _attacked_rows(SC3, robust, test_ds, cfg.attack_grid, repetition, setup)
+    robust, history = adversarial_train(model, train_ds, cfg.train, cfg.defense, defense_rng)
+    lap("defense", sum(rec.dataset_rows for rec in history[1:]))
+    rows += _attacked_rows(SC3, robust, test_ds, cfg.attack_grid, repetition)
+    lap("attack_sc3", test_ds.num_rows)
     return rows
 
 
-def _attacked_rows(scenario_id, model, test_ds, grid, repetition, setup_s) -> List[ResultRow]:
-    """Test MSE of `model` under FGSM at each budget; setup_s is added to the
-    first row's wall time, and so is the one gradient pass of the grid."""
+def _attacked_rows(scenario_id, model, test_ds, grid, repetition) -> List[ResultRow]:
+    """Test MSE of `model` under FGSM at each budget of `grid`."""
     rows = []
-    t0 = time.perf_counter() - setup_s
     for eps, x_adv in zip(grid, attack_budgets(model, test_ds, grid)):
         mse = numcore.mse_loss(numcore.predict(model, x_adv), test_ds.labels)
-        t1 = time.perf_counter()
-        rows.append(ResultRow(scenario_id, float(eps), repetition, mse, t1 - t0))
-        t0 = t1
+        rows.append(ResultRow(scenario_id, float(eps), repetition, mse))
     return rows
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """All repetitions of SC1/SC2/SC3, run one after another; rows come back
     sorted by (scenario, epsilon, repetition)."""
-    rows = [row for r in range(cfg.repetitions) for row in _run_repetition(cfg, r)]
+    stages: list = []
+    rows = [row for r in range(cfg.repetitions) for row in _run_repetition(cfg, r, stages)]
     rows.sort(key=lambda r: (r.scenario_id, r.epsilon, r.repetition))
     if any(not np.isfinite(r.mse) for r in rows):
         raise numcore.NumericalError("experiment produced a non-finite MSE")
-    return ExperimentResult(rows=rows)
+    return ExperimentResult(rows=rows, stages=stages)
 
 
 @dataclass(frozen=True)

@@ -308,20 +308,21 @@ def _blocks(model, n, backward, work):
     _BLOCK_ROWS-row blocks, the remainder folded into the last block (one
     block when n < _BLOCK_ROWS).
 
-    The blocks are split into contiguous runs, one per thread, on
-    min(blocks, _pass_threads()) threads: the calling thread takes the first
-    run and helper threads the rest. Every run's inference workspace, sized
-    to its largest block, is allocated here in the calling thread, so no
-    buffer lands on a helper's heap. Each block is the same product
-    whichever thread runs it, so the bits do not depend on the thread count.
-    An error in any run is raised here, after every helper has finished.
+    The blocks are split into contiguous runs on at most _pass_threads()
+    threads, the calling thread taking the first run; each helper takes at
+    least one block of a backward pass or two of a forward-only one, as one
+    forward block saves less than the helper costs. Every run's inference
+    workspace, sized to its largest block, is allocated here in the calling
+    thread, so no buffer lands on a helper's heap. Each block is the same
+    product whichever thread runs it, so the bits do not depend on the thread
+    count. An error in any run is raised here, after every helper has ended.
     """
     count = max(1, n // _BLOCK_ROWS)
     blocks = [
         slice(i * _BLOCK_ROWS, n if i == count - 1 else (i + 1) * _BLOCK_ROWS)
         for i in range(count)
     ]
-    threads = min(count, _pass_threads())
+    threads = max(1, min(count if backward else count // 2, _pass_threads()))
     bounds = [count * i // threads for i in range(threads + 1)]
     runs = [blocks[a:b] for a, b in zip(bounds, bounds[1:])]
     workspaces = [

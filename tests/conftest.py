@@ -8,6 +8,7 @@ happens exactly once.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import replace
 from types import SimpleNamespace
@@ -16,7 +17,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from beamsec import channel, cli, numcore
+from beamsec import channel, cli, config, numcore
+from beamsec.defense import DefenseConfig
+from beamsec.harness import ExperimentConfig
 
 
 def make_tiny_scenario(seed: int = 7) -> channel.ScenarioParams:
@@ -37,6 +40,22 @@ def make_tiny_scenario(seed: int = 7) -> channel.ScenarioParams:
 @pytest.fixture()
 def tiny_scenario() -> channel.ScenarioParams:
     return make_tiny_scenario()
+
+
+@pytest.fixture()
+def tiny_config_path(tmp_path):
+    """A JSON config of one fast repetition on the small scenario."""
+    cfg = ExperimentConfig(
+        scenario=make_tiny_scenario(seed=5),
+        train=numcore.TrainConfig(epochs=2),
+        defense=DefenseConfig(epsilon=0.1, max_rounds=2),
+        attack_grid=(0.05, 0.1),
+        repetitions=1,
+        num_instances=300,
+    )
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config.dump(cfg)))
+    return path
 
 
 @pytest.fixture(scope="session")

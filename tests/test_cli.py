@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import struct
 
@@ -12,9 +13,7 @@ from click.testing import CliRunner
 
 from beamsec import cli, config, harness, numcore
 from beamsec.channel import Dataset, build_dataset, load_dataset, save_dataset
-from beamsec.defense import DefenseConfig
 from beamsec.framing import write_framed
-from beamsec.harness import ExperimentConfig
 
 from conftest import make_tiny_scenario
 
@@ -22,21 +21,6 @@ from conftest import make_tiny_scenario
 @pytest.fixture()
 def runner():
     return CliRunner()
-
-
-@pytest.fixture()
-def tiny_config_path(tmp_path):
-    cfg = ExperimentConfig(
-        scenario=make_tiny_scenario(seed=5),
-        train=numcore.TrainConfig(epochs=2),
-        defense=DefenseConfig(epsilon=0.1, max_rounds=2),
-        attack_grid=(0.05, 0.1),
-        repetitions=1,
-        num_instances=300,
-    )
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config.dump(cfg)))
-    return path
 
 
 def test_full_pipeline(runner, tmp_path, tiny_config_path):
@@ -95,7 +79,7 @@ def test_full_pipeline(runner, tmp_path, tiny_config_path):
     result = runner.invoke(cli.main, ["run", *cfg, "--out", str(sweep_dir)])
     assert result.exit_code == 0, result.output
     assert (sweep_dir / "results.csv").exists()
-    assert (sweep_dir / "timings.csv").exists()
+    assert (sweep_dir / "stages.csv").exists()
     assert (sweep_dir / "summary.csv").exists()
     assert (sweep_dir / "ratios.csv").exists()
 
@@ -132,6 +116,27 @@ def test_run_flag_overrides(runner, tmp_path, tiny_config_path):
     lines = (out / "results.csv").read_text().splitlines()
     assert lines[0] == "scenario,epsilon,repetition,mse"
     assert len(lines) == 1 + 3  # SC1 + one SC2 row + one SC3 row
+
+
+def test_run_writes_stages_csv(runner, tmp_path, tiny_config_path):
+    """stages.csv: each repetition's stages in run order, each with its
+    seconds (finite, >= 0) and rows; the old timings.csv is not written."""
+    out = tmp_path / "sweep"
+    args = ["run", "--config", str(tiny_config_path), "--reps", "2", "--out", str(out)]
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 0, result.output
+    lines = (out / "stages.csv").read_text().splitlines()
+    assert lines[0] == "repetition,stage,seconds,rows"
+    entries = [line.split(",") for line in lines[1:]]
+    stages = ("build_dataset", "split_dataset", "train", "attack_sc2", "defense", "attack_sc3")
+    assert [(int(rep), stage) for rep, stage, _, _ in entries] == [
+        (rep, stage) for rep in range(2) for stage in stages
+    ]
+    assert all(math.isfinite(float(s)) and float(s) >= 0.0 for _, _, s, _ in entries)
+    # 300 instances: 240 training and 60 test rows; the one adversarial round
+    # (max_rounds = 2) trains on a pool of 2 x 240 rows
+    assert [int(rows) for *_, rows in entries] == [300, 300, 240, 60, 480, 60] * 2
+    assert not (out / "timings.csv").exists()
 
 
 def test_unknown_config_field_exits_2(runner, tmp_path):

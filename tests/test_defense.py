@@ -9,9 +9,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from beamsec import channel, numcore
+from beamsec import channel, defense, numcore
 from beamsec.attack import AttackConfig, attack_dataset
-from beamsec.defense import DefenseConfig, RoundRecord, adversarial_train, round_history_to_csv
+from beamsec.defense import (
+    DefenseConfig,
+    RoundRecord,
+    adversarial_train,
+    kept_round,
+    round_history_to_csv,
+)
 
 
 FAST = numcore.TrainConfig(epochs=2)
@@ -141,6 +147,32 @@ def test_defense_improves_or_holds_adversarial_mse(tiny_scenario):
     for lm, lb in zip(model.layers, best_alone.layers):
         assert np.array_equal(lm.weights, lb.weights)
         assert np.array_equal(lm.bias, lb.bias)
+
+
+@pytest.mark.parametrize(
+    "adv_mses, rounds, kept",
+    [
+        ((1.0, 0.5, 0.25, 0.25), 4, 2),  # two improving rounds, then a stall
+        ((1.0, 0.75, 0.75), 3, 1),  # improves by exactly the tolerance: go on
+        ((1.0, 0.5, 0.6), 3, 1),  # a round that gets worse
+    ],
+    ids=["stall", "improves_by_tol", "worse"],
+)
+def test_plateau_rule_on_scripted_probe_mses(adv_mses, rounds, kept, tiny_scenario, monkeypatch):
+    """The loop stops after the first round whose probe adversarial MSE
+    improves on the round before by less than steady_state_rel_tol (strict),
+    and keeps the round with the lowest one."""
+    script = iter(adv_mses + (0.1,) * 8)  # the rounds after the stop would improve
+    monkeypatch.setattr(defense, "_subset_metrics", lambda *args: (0.5, next(script)))
+    train_ds, _ = small_data(tiny_scenario, rows=100)
+    cfg = DefenseConfig(epsilon=0.1, max_rounds=8, steady_state_rel_tol=0.25)
+    model = numcore.fit(train_ds, FAST, np.random.default_rng(4))[0]
+
+    _, history = adversarial_train(model, train_ds, FAST, cfg, np.random.default_rng(4))
+
+    assert [rec.adv_mse for rec in history] == list(adv_mses)
+    assert len(history) == rounds
+    assert kept_round(history).round_index == kept
 
 
 def test_adversarial_train_rejects_empty():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import replace
 from typing import List
 
@@ -83,6 +84,17 @@ def test_row_counts_multi_rep(tiny_scenario):
     assert triples == sorted(triples)  # deterministic row order
 
 
+def test_stage_entries_tile_the_run(tiny_scenario):
+    """Each stage is timed from the end of the one before, so the six
+    entries of each repetition add up to nearly all of the run's time."""
+    t0 = time.perf_counter()
+    result = run_experiment(tiny_config(tiny_scenario, repetitions=2))
+    elapsed = time.perf_counter() - t0
+    assert [rep for rep, *_ in result.stages] == [0] * 6 + [1] * 6
+    total = sum(seconds for _, _, seconds, _ in result.stages)
+    assert 0.9 * elapsed <= total <= elapsed
+
+
 def test_run_experiment_is_deterministic(tiny_scenario, tmp_path):
     cfg = tiny_config(tiny_scenario)
     r1 = run_experiment(cfg)
@@ -128,10 +140,6 @@ def test_result_csv_round_trip(tmp_path, tiny_scenario):
     for a, b in zip(back.rows, result.rows):
         assert a.mse == pytest.approx(b.mse, rel=1e-11)
 
-    tpath = tmp_path / "timings.csv"
-    result.timings_to_csv(tpath)
-    assert tpath.read_text().splitlines()[0] == "scenario,epsilon,repetition,wall_time_s"
-
     bad = tmp_path / "bad.csv"
     bad.write_text("nope\n")
     with pytest.raises(ValueError):
@@ -142,7 +150,7 @@ def test_result_csv_round_trip(tmp_path, tiny_scenario):
 
 
 def test_summarize_single_row():
-    result = ExperimentResult(rows=[ResultRow("SC1", 0.0, 0, 0.25, 0.1)])
+    result = ExperimentResult(rows=[ResultRow("SC1", 0.0, 0, 0.25)])
     (row,) = summarize(result)
     assert (row.mean_mse, row.std_mse, row.min_mse, row.max_mse, row.n) == (
         0.25, 0.0, 0.25, 0.25, 1,
@@ -151,10 +159,10 @@ def test_summarize_single_row():
 
 def test_summarize_population_std_and_ratios():
     rows = [
-        ResultRow("SC1", 0.0, 0, 0.1, 0.0),
-        ResultRow("SC1", 0.0, 1, 0.3, 0.0),
-        ResultRow("SC2", 0.1, 0, 0.8, 0.0),
-        ResultRow("SC2", 0.1, 1, 0.8, 0.0),
+        ResultRow("SC1", 0.0, 0, 0.1),
+        ResultRow("SC1", 0.0, 1, 0.3),
+        ResultRow("SC2", 0.1, 0, 0.8),
+        ResultRow("SC2", 0.1, 1, 0.8),
     ]
     sc1, sc2 = summarize(ExperimentResult(rows=rows))
     assert sc1.mean_mse == pytest.approx(0.2, abs=1e-15)
@@ -232,7 +240,7 @@ def _grid_rows() -> List[ResultRow]:
         ("SC4", 0.1): (0.0042, 0.0044, 0.0039),
     }
     return [
-        ResultRow(sc, eps, rep, mse, 0.0)
+        ResultRow(sc, eps, rep, mse)
         for (sc, eps), values in mses.items()
         for rep, mse in enumerate(values)
     ]
@@ -335,7 +343,7 @@ SC3,0.1,1.41129
 """,
     ),
     "no_clean_rows": (
-        [ResultRow("SC2", 0.1, 0, 0.002, 0.0), ResultRow("SC3", 0.1, 0, 0.0015, 0.0)],
+        [ResultRow("SC2", 0.1, 0, 0.002), ResultRow("SC3", 0.1, 0, 0.0015)],
         """\
 scenario,epsilon,mean_mse,std_mse,min_mse,max_mse,n
 SC2,0.1,0.002,0,0.002,0.002,1
@@ -369,7 +377,7 @@ SC3,0.1,0.0015,0,0.0015,0.0015,1
 """,
     ),
     "zero_clean_mean": (
-        [ResultRow("SC1", 0.0, 0, 0.0, 0.0), ResultRow("SC2", 0.1, 0, 0.002, 0.0)],
+        [ResultRow("SC1", 0.0, 0, 0.0), ResultRow("SC2", 0.1, 0, 0.002)],
         """\
 scenario,epsilon,mean_mse,std_mse,min_mse,max_mse,n
 SC1,0,0,0,0,0,1

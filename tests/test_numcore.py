@@ -294,13 +294,21 @@ def test_threaded_blocked_passes_equal_full_batch_bit_for_bit(
     which, threads, tiny_trained, monkeypatch
 ):
     """The blocks split into contiguous runs, one per thread, and each block
-    is the same product on any thread: the bits equal one pass over all rows."""
+    is the same product on any thread: the bits equal one pass over all rows.
+    A helper takes at least two 512-row blocks of predict, so 1,024 and 1,536
+    rows start none, and at least one block of input_gradients."""
     model = tiny_trained.model if which == "tiny_trained" else numcore.init_model(16, 21)
     ran = force_threads(monkeypatch, threads)
     assert_blocked_passes_equal_full_batch(model)
-    ran.clear()
-    numcore.input_gradients(model, np.zeros((2500, model.spec.input_dim)), np.zeros(2500))
-    assert len(ran) == threads
+    d = model.spec.input_dim
+    for rows, expected in ((1024, 1), (1536, 1), (3072, threads)):
+        ran.clear()
+        numcore.predict(model, np.zeros((rows, d)))
+        assert len(ran) == expected, rows
+    for rows, expected in ((1024, 2), (3072, threads)):
+        ran.clear()
+        numcore.input_gradients(model, np.zeros((rows, d)), np.zeros(rows))
+        assert len(ran) == expected, rows
 
 
 def test_error_in_a_helper_thread_propagates(monkeypatch):

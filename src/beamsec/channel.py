@@ -31,8 +31,8 @@ _LABEL_CAP = 0.9
 # changes every dataset byte.
 _DRAW_BLOCK = 1024
 
-# Distinct grid points per step of build_dataset: bounds the memory one
-# step holds at once.
+# Grid points per step of build_dataset's channel pass: bounds the memory
+# one step holds at once.
 _POINT_BLOCK = 256
 
 # Rows per step of dataset_to_csv. A step holds 40 bytes of character slots
@@ -323,18 +323,19 @@ class Dataset:
 def build_dataset(params: ScenarioParams, num_instances: int) -> Dataset:
     """Sample user positions, simulate channels/pilots, label with best-beam sum rate.
 
-    Instance block b (instances _DRAW_BLOCK*b onward) draws from
-    default_rng([params.seed, b]): the whole block's grid indices, then its
-    pilot normals. Whole blocks are drawn even past num_instances, so
-    instance i's draws depend only on (params.seed, i) and the result is a
-    pure function of the params and the instance count. Channels and
-    best-beam rates are computed once per distinct sampled grid point and
-    gathered per instance. Labels are the per-instance sum over BSs of the
-    best codebook beam's rate, scaled so the dataset maximum lands on 0.9 and
-    the minimum on 0.0. Features are the omni pilots (the first antenna
-    element) plus complex AWGN of variance noise_variance, laid out
-    BS-major, subcarrier-minor, [Re, Im] interleaved, and z-scored per column
-    over the whole set.
+    Every grid point's omni pilots and best-beam label are computed once, in
+    blocks of _POINT_BLOCK points. Instance block b (instances _DRAW_BLOCK*b
+    onward) then draws from default_rng([params.seed, b]): the whole block's
+    grid indices, then its pilot normals, and its rows take their points'
+    pilots plus the scaled normals and their points' labels. Whole blocks are
+    drawn even past num_instances, so instance i's draws depend only on
+    (params.seed, i) and the result is a pure function of the params and the
+    instance count. Labels are the per-instance sum over BSs of the best
+    codebook beam's rate, scaled so the dataset maximum lands on 0.9 and the
+    minimum on 0.0. Features are the omni pilots (the first antenna element)
+    plus complex AWGN of variance noise_variance, laid out BS-major,
+    subcarrier-minor, [Re, Im] interleaved, and z-scored per column over the
+    whole set.
     """
     if num_instances < 1:
         raise ValueError("num_instances must be >= 1")
@@ -342,44 +343,35 @@ def build_dataset(params: ScenarioParams, num_instances: int) -> Dataset:
     if grid.shape[0] == 0:
         raise ValueError("user grid has no points")
     N, K, M = params.num_bs, params.num_subcarriers, params.num_antennas
-    sigma = params.noise_variance
-    scale = np.sqrt(sigma / 2.0)
-    blocks = [
-        slice(a, min(a + _DRAW_BLOCK, num_instances)) for a in range(0, num_instances, _DRAW_BLOCK)
-    ]
-
-    # feats_raw holds the scaled noise, [Re, Im] interleaved, until the
-    # pilots are added below
-    idx = np.empty(num_instances, dtype=np.int64)
-    feats_raw = np.empty((num_instances, 2 * N * K), dtype=np.float64)
-    normals = np.empty((_DRAW_BLOCK, 2, N * K), dtype=np.float64) if sigma > 0 else None
-    for b, rows in enumerate(blocks):
-        count = rows.stop - rows.start
-        gen = np.random.default_rng([params.seed, b])
-        idx[rows] = gen.integers(0, grid.shape[0], size=_DRAW_BLOCK)[:count]
-        if normals is not None:
-            gen.standard_normal(out=normals)
-            noise = feats_raw[rows].reshape(count, N * K, 2)
-            np.multiply(normals[:count].transpose(0, 2, 1), scale, out=noise)
-
-    points, where = np.unique(idx, return_inverse=True)
     codebook = dft_codebook(M, params.codebook_oversampling)
-    point_label = np.zeros(len(points), dtype=np.float64)
-    pilots = np.empty((len(points), 2 * N * K), dtype=np.float64)
-    for a in range(0, len(points), _POINT_BLOCK):
+    point_label = np.zeros(grid.shape[0], dtype=np.float64)
+    pilots = np.empty((grid.shape[0], 2 * N * K), dtype=np.float64)
+    for a in range(0, grid.shape[0], _POINT_BLOCK):
         part = slice(a, a + _POINT_BLOCK)
-        h = channels(params, grid[points[part]])
+        h = channels(params, grid[part])
         for h_n in h:
             point_label[part] += beam_rates(h_n, codebook, params.snr_linear).max(axis=1)
         obs = h[:, :, :, 0].transpose(1, 0, 2).reshape(-1, N * K)
         pilots[part, 0::2] = obs.real
         pilots[part, 1::2] = obs.imag
-    for rows in blocks:
-        if sigma > 0:
-            feats_raw[rows] += pilots[where[rows]]
-        else:
-            feats_raw[rows] = pilots[where[rows]]
-    label_raw = point_label[where]
+
+    # feats_raw rows take the scaled noise, [Re, Im] interleaved, and then
+    # their grid points' pilots; at zero noise variance the scale is 0, so
+    # the noise adds nothing
+    scale = np.sqrt(params.noise_variance / 2.0)
+    feats_raw = np.empty((num_instances, 2 * N * K), dtype=np.float64)
+    label_raw = np.empty(num_instances, dtype=np.float64)
+    normals = np.empty((_DRAW_BLOCK, 2, N * K), dtype=np.float64)
+    for b, a in enumerate(range(0, num_instances, _DRAW_BLOCK)):
+        rows = slice(a, min(a + _DRAW_BLOCK, num_instances))
+        count = rows.stop - rows.start
+        gen = np.random.default_rng([params.seed, b])
+        i = gen.integers(0, grid.shape[0], size=_DRAW_BLOCK)[:count]
+        gen.standard_normal(out=normals)
+        noise = feats_raw[rows].reshape(count, N * K, 2)
+        np.multiply(normals[:count].transpose(0, 2, 1), scale, out=noise)
+        feats_raw[rows] += pilots[i]
+        label_raw[rows] = point_label[i]
 
     norm = fit_normalization(feats_raw, label_raw)
     return Dataset(

@@ -205,8 +205,13 @@ def test_channel_tensor_is_sum_of_path_responses():
 
 
 def test_build_dataset_rejects_grid_point_near_bs(tiny_scenario):
-    with pytest.raises(ValueError, match="closer than 0.1 m"):
-        build_dataset(one_point(tiny_scenario, 0.05, 0.0), 10)
+    """A grid point within 0.1 m of a BS is rejected whether or not the seed
+    samples it: the default grid moved to start at x = 0.05 has 1,240 points,
+    one of them 0.05 m from the BS, and 10 instances need not draw it."""
+    near_corner = replace(default_scenario(), user_grid=UserGrid(0.05, 8.0, -3.0, 3.0, 0.2))
+    for params in (one_point(tiny_scenario, 0.05, 0.0), near_corner):
+        with pytest.raises(ValueError, match="closer than 0.1 m"):
+            build_dataset(params, 10)
 
 
 # -------------------------------------------------------------------- rates
@@ -318,9 +323,9 @@ def test_pilot_noise_variance_monte_carlo(tiny_scenario):
 
 
 def test_build_dataset_computes_each_grid_point_once(monkeypatch):
-    """The channel tensor is built once per BS for each distinct sampled grid
-    point, not once per instance: the rows of all its calls sum to the
-    distinct points among 12,500 draws times the BS count."""
+    """The channel tensor is built once per BS for every grid point, however
+    many instances sample it: the rows of all its calls sum to the grid size
+    times the BS count, at 100 instances as at 12,500."""
     rows = []
     tensor = channel._channel_tensor
 
@@ -330,11 +335,11 @@ def test_build_dataset_computes_each_grid_point_once(monkeypatch):
 
     monkeypatch.setattr(channel, "_channel_tensor", counted)
     for params in (default_scenario(), two_bs(default_scenario())):
-        distinct = len(np.unique(oracles.reference_build_dataset(params, 12_500).idx))
-        rows.clear()
-        build_dataset(params, 12_500)
-        assert sum(rows) == distinct * params.num_bs
-        assert distinct <= params.user_grid.points().shape[0] == 1116
+        assert params.user_grid.points().shape[0] == 1116
+        for n in (100, 12_500):
+            rows.clear()
+            build_dataset(params, n)
+            assert sum(rows) == 1116 * params.num_bs
 
 
 DRAW_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**40 + 3)
@@ -346,10 +351,13 @@ def test_build_dataset_draws_match_per_instance_streams(seed, n):
     """Each 1,024-instance block draws its grid indices and pilot noise from
     its own default_rng([seed, b]), whole blocks even where the dataset ends
     inside one: the dataset and its normalization equal the per-block
-    oracle's byte for byte. At n = 1 the features and labels z-score to zeros,
+    oracle's byte for byte, with one BS and two, with noise and without it
+    (a noise-free build still draws the normals and scales them to zero).
+    At n = 1 the features and labels z-score to zeros,
     so there the normalization, which holds the raw row, carries the check."""
     base = replace(default_scenario(), seed=seed)
-    for params in (base, replace(base, noise_variance=0.0), two_bs(base)):
+    noiseless = replace(base, noise_variance=0.0)
+    for params in (base, noiseless, two_bs(base), two_bs(noiseless)):
         ds = build_dataset(params, n)
         want = oracles.reference_build_dataset(params, n)
         assert ds.features.tobytes() == want.features.tobytes()

@@ -165,6 +165,20 @@ def test_negative_instances_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_grid_point_near_bs_exits_2(runner, tmp_path):
+    """The default grid moved to start at x = 0.05 holds a point 0.05 m from
+    the BS; generate refuses it even where its 10 instances do not sample it."""
+    grid = {"x_min": 0.05, "x_max": 8.0, "y_min": -3.0, "y_max": 3.0, "spacing": 0.2}
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"scenario": {"user_grid": grid}, "num_instances": 10}))
+    result = runner.invoke(
+        cli.main, ["generate", "--config", str(path), "--out", str(tmp_path / "d.bin")]
+    )
+    assert result.exit_code == 2, result.output
+    assert "closer than 0.1 m" in result.output
+    assert not (tmp_path / "d.bin").exists()
+
+
 @pytest.mark.parametrize(
     "doc, field",
     [

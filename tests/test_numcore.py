@@ -275,13 +275,15 @@ def test_blocked_passes_equal_full_batch_bit_for_bit(which, tiny_trained):
 
 def force_threads(monkeypatch, threads):
     """Let the blocked passes run on `threads` threads whatever the cores and
-    the BLAS thread count, and record which threads ran a block."""
+    the BLAS thread count, and record which threads ran a block. The set
+    holds the Thread objects, not their idents: a helper that has ended can
+    pass its ident on to the next one started."""
     monkeypatch.setattr(numcore, "_pass_threads", lambda: threads)
     ran = set()
     forward = numcore._forward_batch
 
     def recording_forward(*args, **kwargs):
-        ran.add(threading.get_ident())
+        ran.add(threading.current_thread())
         return forward(*args, **kwargs)
 
     monkeypatch.setattr(numcore, "_forward_batch", recording_forward)

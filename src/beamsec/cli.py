@@ -162,7 +162,7 @@ def run(config, seed, reps, eps, out, fmt):
         overrides["output_dir"] = out
     if eps is not None:
         try:
-            overrides["attack_grid"] = [float(v) for v in eps.split(",") if v]
+            overrides["attack_grid"] = [float(v) for v in eps.split(",")]
         except ValueError:
             raise ConfigError(f"--eps must be a comma-separated float list, got {eps!r}")
     cfg = load_fields(harness.ExperimentConfig, overrides, base=cfg)

@@ -9,7 +9,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import numcore
-from .attack import AttackConfig, attack_dataset
+from .attack import AttackConfig, attack_dataset, attacked_mse
 
 
 @dataclass(frozen=True)
@@ -41,13 +41,6 @@ class RoundRecord:
 class _Pool:
     features: np.ndarray
     labels: np.ndarray
-
-
-def _subset_metrics(model, X, y, atk):
-    clean = numcore.mse_loss(numcore.predict(model, X), y)
-    x_adv = attack_dataset(model, _Pool(X, y), atk)
-    adv = numcore.mse_loss(numcore.predict(model, x_adv), y)
-    return clean, adv
 
 
 def adversarial_train(
@@ -89,7 +82,7 @@ def adversarial_train(
             pool_x = np.concatenate([pool_x, attack_dataset(model, _Pool(X[pick], y[pick]), atk)])
             pool_y = np.concatenate([pool_y, y[pick]])
             model, _ = numcore.train(model, _Pool(pool_x, pool_y), train_cfg, rng)
-        clean, adv = _subset_metrics(model, X[probe], y[probe], atk)
+        clean, adv = attacked_mse(model, X[probe], y[probe], (0.0, atk.epsilon))
         history.append(RoundRecord(round_index, clean, adv, pool_y.shape[0]))
         snapshots.append(numcore.copy_model(model))
         if round_index > 0:

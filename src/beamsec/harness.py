@@ -3,8 +3,10 @@
 Scenario ids: SC1 is the clean test MSE of the undefended model, SC2 its MSE
 under FGSM at each budget in the attack grid, SC3 the MSE under the same
 attacks of the model that adversarial training derives from the SC1 model
-(its round 0). Every repetition r is fully determined by
-base_seed + r, so results are reproducible byte for byte.
+(its round 0). All three come from attack.attacked_mse: SC1 is its budget-0
+entry, at which no row moves, so SC1 rows have epsilon 0 and SC2/SC3 rows a
+positive one. Every repetition r is fully determined by base_seed + r, so
+results are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__, config, numcore
-from .attack import attack_budgets
+from .attack import attacked_mse
 from .channel import ScenarioParams, build_dataset, default_scenario, split_dataset
 from .config import ConfigError
 from .defense import DefenseConfig, adversarial_train
@@ -100,8 +102,9 @@ class ExperimentResult:
     def from_csv(path) -> "ExperimentResult":
         """Read a results.csv; a malformed one, one with no rows, one that
         repeats a (scenario, epsilon, repetition), or a row run never writes
-        (a negative repetition or epsilon, an SC1 row at a nonzero epsilon)
-        raises framing.FormatError naming the file and line."""
+        (a scenario other than SC1-SC3, a negative repetition or epsilon, an
+        SC1 row at a nonzero epsilon, an SC2/SC3 row at epsilon 0) raises
+        framing.FormatError naming the file and line."""
         rows, lines = [], {}
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
@@ -121,10 +124,14 @@ class ExperimentResult:
                     raise FormatError(f"{path}:{number}: {exc}") from None
                 if not (math.isfinite(row.epsilon) and math.isfinite(row.mse)):
                     raise FormatError(f"{path}:{number}: non-finite number in {line!r}")
+                if sc not in (SC1, SC2, SC3):
+                    raise FormatError(f"{path}:{number}: unknown scenario {sc!r}")
                 if row.repetition < 0 or row.epsilon < 0:
                     raise FormatError(f"{path}:{number}: negative repetition or epsilon")
                 if sc == SC1 and row.epsilon != 0:
                     raise FormatError(f"{path}:{number}: SC1 row at nonzero epsilon {eps}")
+                if sc != SC1 and row.epsilon == 0:
+                    raise FormatError(f"{path}:{number}: {sc} row at epsilon 0, which is SC1's")
                 first = lines.setdefault((sc, row.epsilon, row.repetition), number)
                 if first != number:
                     raise FormatError(f"{path}:{number}: duplicate of the row on line {first}")
@@ -158,24 +165,17 @@ def _run_repetition(cfg: ExperimentConfig, repetition: int, stages: list) -> Lis
 
     model, _ = numcore.fit(train_ds, cfg.train, train_rng)
     lap("train", train_ds.num_rows)
-    clean_mse = numcore.mse_loss(numcore.predict(model, test_ds.features), test_ds.labels)
-    rows = [ResultRow(SC1, 0.0, repetition, clean_mse)]
-    rows += _attacked_rows(SC2, model, test_ds, cfg.attack_grid, repetition)
+    X, y, grid = test_ds.features, test_ds.labels, cfg.attack_grid
+    clean, *attacked = attacked_mse(model, X, y, (0.0, *grid))
+    rows = [ResultRow(SC1, 0.0, repetition, clean)]
+    rows += [ResultRow(SC2, float(eps), repetition, mse) for eps, mse in zip(grid, attacked)]
     lap("attack_sc2", test_ds.num_rows)
 
     robust, history = adversarial_train(model, train_ds, cfg.train, cfg.defense, defense_rng)
     lap("defense", sum(rec.dataset_rows for rec in history[1:]))
-    rows += _attacked_rows(SC3, robust, test_ds, cfg.attack_grid, repetition)
+    defended = attacked_mse(robust, X, y, grid)
+    rows += [ResultRow(SC3, float(eps), repetition, mse) for eps, mse in zip(grid, defended)]
     lap("attack_sc3", test_ds.num_rows)
-    return rows
-
-
-def _attacked_rows(scenario_id, model, test_ds, grid, repetition) -> List[ResultRow]:
-    """Test MSE of `model` under FGSM at each budget of `grid`."""
-    rows = []
-    for eps, x_adv in zip(grid, attack_budgets(model, test_ds, grid)):
-        mse = numcore.mse_loss(numcore.predict(model, x_adv), test_ds.labels)
-        rows.append(ResultRow(scenario_id, float(eps), repetition, mse))
     return rows
 
 

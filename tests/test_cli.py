@@ -157,6 +157,18 @@ def test_bad_eps_list_exits_2(runner, tmp_path):
     assert "config error" in result.output
 
 
+@pytest.mark.parametrize("eps", ["0.1,,0.2", "0.1,", ",0.1"])
+def test_empty_eps_entry_exits_2(runner, tmp_path, tiny_config_path, eps):
+    """An empty entry in the budget list is an error, not a budget to skip."""
+    out = tmp_path / "s"
+    result = runner.invoke(
+        cli.main, ["run", "--config", str(tiny_config_path), "--eps", eps, "--out", str(out)]
+    )
+    assert result.exit_code == 2
+    assert "config error" in result.output
+    assert not out.exists()
+
+
 def test_negative_instances_exits_2(runner, tmp_path):
     result = runner.invoke(
         cli.main,
@@ -384,6 +396,9 @@ def test_run_manifest_round_trips_the_config(runner, tmp_path, tiny_config_path,
         ("SC1,0,-3,0.01", r"results\.csv:3: negative repetition or epsilon"),
         ("SC2,-0.5,0,0.02", r"results\.csv:3: negative repetition or epsilon"),
         ("SC1,0.3,1,0.01", r"results\.csv:3: SC1 row at nonzero epsilon"),
+        ("SC4,0.1,0,0.01", r"results\.csv:3: unknown scenario 'SC4'"),
+        ("sc1,0,0,0.01", r"results\.csv:3: unknown scenario 'sc1'"),
+        ("SC2,0,0,0.01", r"results\.csv:3: SC2 row at epsilon 0"),
         (None, r"results\.csv: no result rows"),
     ],
 )

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from beamsec import channel, defense, numcore
-from beamsec.attack import AttackConfig, attack_dataset
+from beamsec.attack import AttackConfig, attack_dataset, attacked_mse
 from beamsec.defense import (
     DefenseConfig,
     RoundRecord,
@@ -163,7 +163,7 @@ def test_plateau_rule_on_scripted_probe_mses(adv_mses, rounds, kept, tiny_scenar
     improves on the round before by less than steady_state_rel_tol (strict),
     and keeps the round with the lowest one."""
     script = iter(adv_mses + (0.1,) * 8)  # the rounds after the stop would improve
-    monkeypatch.setattr(defense, "_subset_metrics", lambda *args: (0.5, next(script)))
+    monkeypatch.setattr(defense, "attacked_mse", lambda *args: [0.5, next(script)])
     train_ds, _ = small_data(tiny_scenario, rows=100)
     cfg = DefenseConfig(epsilon=0.1, max_rounds=8, steady_state_rel_tol=0.25)
     model = numcore.fit(train_ds, FAST, np.random.default_rng(4))[0]
@@ -199,6 +199,7 @@ def test_evaluate_robustness_table(tiny_trained):
     }
     clean = numcore.mse_loss(numcore.predict(model, test.features), test.labels)
     assert table[0.0] == clean
+    assert attacked_mse(model, test.features, test.labels, grid) == [table[e] for e in grid]
     for eps, mse in table.items():
         assert np.isfinite(mse) and mse >= 0.0
     with pytest.raises(ValueError):

@@ -12,14 +12,15 @@ import pytest
 
 from beamsec import config, numcore
 from beamsec.attack import AttackConfig, attack_dataset
-from beamsec.channel import UserGrid
-from beamsec.defense import DefenseConfig
+from beamsec.channel import UserGrid, build_dataset, split_dataset
+from beamsec.defense import DefenseConfig, adversarial_train
 from beamsec.harness import (
     ConfigError,
     ExperimentConfig,
     ExperimentResult,
     ResultRow,
     SummaryRow,
+    _SEED_SALT,
     config_from_dict,
     emit_report,
     load_config,
@@ -71,6 +72,33 @@ def test_sweep_takes_one_gradient_pass_per_model_and_rows(tiny_scenario, monkeyp
     monkeypatch.setattr(numcore, "input_gradients", counted)
     run_experiment(tiny_config(tiny_scenario, attack_grid=tuple(0.01 * i for i in range(1, 11))))
     assert len(calls) == 5
+
+
+def test_run_rows_equal_the_reference_path(tiny_scenario):
+    """Each row of a 1-repetition run equals, bit for bit, the MSE taken on
+    the repetition's own streams through predict and attack_dataset: SC1 on
+    the clean test rows, SC2 and SC3 on each budget's FGSM rows against the
+    trained and the defended model."""
+    cfg = tiny_config(tiny_scenario, attack_grid=(0.02, 0.05, 0.1))
+    result = run_experiment(cfg)
+
+    seed = cfg.base_seed
+    dataset = build_dataset(replace(cfg.scenario, seed=seed), cfg.num_instances)
+    streams = np.random.SeedSequence([seed, _SEED_SALT]).spawn(3)
+    split_rng, train_rng, defense_rng = (np.random.default_rng(s) for s in streams)
+    train_ds, test = split_dataset(dataset, cfg.train_fraction, split_rng)
+    plain, _ = numcore.fit(train_ds, cfg.train, train_rng)
+    robust, _ = adversarial_train(plain, train_ds, cfg.train, cfg.defense, defense_rng)
+
+    def mse(model, X):
+        return numcore.mse_loss(numcore.predict(model, X), test.labels)
+
+    expected = {("SC1", 0.0): mse(plain, test.features)}
+    for eps in cfg.attack_grid:
+        for sc, m in (("SC2", plain), ("SC3", robust)):
+            expected[(sc, eps)] = mse(m, attack_dataset(m, test, AttackConfig(epsilon=eps)))
+    assert {(r.scenario_id, r.epsilon): r.mse for r in result.rows} == expected
+    assert len(result.rows) == len(expected)
 
 
 def test_row_counts_multi_rep(tiny_scenario):

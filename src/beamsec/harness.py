@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import platform
 import time
 from dataclasses import dataclass, field, replace
@@ -100,12 +99,12 @@ class ExperimentResult:
 
     @staticmethod
     def from_csv(path) -> "ExperimentResult":
-        """Read a results.csv; a malformed one, one with no rows, one that
-        repeats a (scenario, epsilon, repetition), or a row run never writes
-        (a scenario other than SC1-SC3, a negative repetition or epsilon, an
-        SC1 row at a nonzero epsilon, an SC2/SC3 row at epsilon 0) raises
-        framing.FormatError naming the file and line."""
-        rows, lines = [], {}
+        """Read a results.csv; a malformed one, one with no rows, one that repeats a
+        (scenario, epsilon, repetition), or a row run never writes (a scenario other
+        than SC1-SC3, a negative repetition or epsilon, -0 included, an SC1 row at a
+        nonzero epsilon, an SC2/SC3 row at epsilon 0, an epsilon that prints like another
+        at 6 significant digits) raises framing.FormatError naming the file and line."""
+        rows, lines, budgets = [], {}, {}
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
             if header != RESULTS_HEADER:
@@ -126,12 +125,13 @@ class ExperimentResult:
                     raise FormatError(f"{path}:{number}: non-finite number in {line!r}")
                 if sc not in (SC1, SC2, SC3):
                     raise FormatError(f"{path}:{number}: unknown scenario {sc!r}")
-                if row.repetition < 0 or row.epsilon < 0:
+                if row.repetition < 0 or math.copysign(1.0, row.epsilon) < 0:
                     raise FormatError(f"{path}:{number}: negative repetition or epsilon")
-                if sc == SC1 and row.epsilon != 0:
-                    raise FormatError(f"{path}:{number}: SC1 row at nonzero epsilon {eps}")
-                if sc != SC1 and row.epsilon == 0:
-                    raise FormatError(f"{path}:{number}: {sc} row at epsilon 0, which is SC1's")
+                if (sc == SC1) != (row.epsilon == 0):
+                    at = f"nonzero epsilon {eps}" if sc == SC1 else "epsilon 0, which is SC1's"
+                    raise FormatError(f"{path}:{number}: {sc} row at {at}")
+                if (seen := budgets.setdefault(f"{row.epsilon:.6g}", row.epsilon)) != row.epsilon:
+                    raise FormatError(f"{path}:{number}: epsilon {eps} prints like {seen!r}")
                 first = lines.setdefault((sc, row.epsilon, row.repetition), number)
                 if first != number:
                     raise FormatError(f"{path}:{number}: duplicate of the row on line {first}")
@@ -302,9 +302,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def write_manifest(cfg: ExperimentConfig, path) -> None:
-    """manifest.json of a run: its resolved config (config.dump, which
-    config_from_dict reads back) and what the result bits also depend on,
-    the numpy build's BLAS and its thread settings (null when unset)."""
+    """manifest.json of a run: its resolved config (config.dump, which config_from_dict
+    reads back) and the versions and BLAS (with numcore's thread count) the bits follow."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy < 1.26 has no dict form
@@ -316,8 +315,8 @@ def write_manifest(cfg: ExperimentConfig, path) -> None:
             "numpy": np.__version__,
             "python": platform.python_version(),
         },
-        "blas": {"name": blas.get("name"), "version": blas.get("version")},
-        "env": {key: os.environ.get(key) for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+        "blas": {"name": blas.get("name"), "version": blas.get("version"),
+                 "threads": numcore.BLAS_THREADS},
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -9,7 +9,6 @@ what the white-box attack code consumes.
 from __future__ import annotations
 
 import ctypes
-import functools
 import os
 import threading
 from dataclasses import dataclass
@@ -31,11 +30,11 @@ _MAGIC = b"BMMLP1"
 # OpenBLAS 0.3.31; shorter blocks take other BLAS kernels and move the bits.
 _BLOCK_ROWS = 512
 
-# OpenBLAS's thread-count getter under the names numpy builds export it by.
+# OpenBLAS's thread-count setter under the names numpy builds export it by.
 _BLAS_THREADS_SYMBOLS = (
-    "scipy_openblas_get_num_threads64_",
-    "openblas_get_num_threads64_",
-    "openblas_get_num_threads",
+    "scipy_openblas_set_num_threads64_",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
 )
 
 
@@ -275,32 +274,32 @@ def _backward_batch(model, ws, dout, grads=None, need_input_grads=False):
     return delta if need_input_grads else None
 
 
-@functools.cache
-def _blas_threads_getter():
-    """OpenBLAS's thread-count getter from the BLAS numpy links (looked up
-    through numpy's linear-algebra extension, which links it on numpy 1 and
-    2 alike), or None when that BLAS exports none of _BLAS_THREADS_SYMBOLS."""
+def _set_blas_threads():
+    """Set numpy's BLAS to one thread, so that no result bit depends on
+    OPENBLAS_NUM_THREADS, and return 1; None when it exports none of
+    _BLAS_THREADS_SYMBOLS. The BLAS is looked up through numpy's
+    linear-algebra extension, which links it on numpy 1 and 2 alike."""
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except OSError:
         return None
     for name in _BLAS_THREADS_SYMBOLS:
-        getter = getattr(lib, name, None)
-        if getter is not None:
-            getter.argtypes = []
-            getter.restype = ctypes.c_int
-            return getter
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            return 1
     return None
 
 
+BLAS_THREADS = _set_blas_threads()  # set once, as this module loads
+
+
 def _pass_threads():
-    """How many threads a blocked pass may run on: the usable cores divided
-    by OpenBLAS's own thread count, at least 1; 1 when that count cannot be
-    asked."""
-    getter = _blas_threads_getter()
-    if getter is None or not hasattr(os, "sched_getaffinity"):
+    """Threads a blocked pass may run on: the usable cores at one BLAS thread, else 1."""
+    if BLAS_THREADS != 1 or not hasattr(os, "sched_getaffinity"):
         return 1
-    return max(1, len(os.sched_getaffinity(0)) // max(1, getter()))
+    return len(os.sched_getaffinity(0))
 
 
 def _blocks(model, n, backward, work):

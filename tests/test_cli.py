@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,24 +370,47 @@ def test_numerical_failure_exits_4(runner, tmp_path, tiny_config_path):
     assert "numerical failure" in result.output
 
 
-def test_run_manifest_round_trips_the_config(runner, tmp_path, tiny_config_path, monkeypatch):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+def test_run_manifest_round_trips_the_config(runner, tmp_path, tiny_config_path):
     out = tmp_path / "sweep"
     result = runner.invoke(
         cli.main, ["run", "--config", str(tiny_config_path), "--eps", "0.1", "--out", str(out)]
     )
     assert result.exit_code == 0, result.output
     manifest = json.loads((out / "manifest.json").read_text())
-    assert set(manifest) == {"config", "versions", "blas", "env"}
+    assert set(manifest) == {"config", "versions", "blas"}
     cfg = harness.config_from_dict(manifest["config"])
     assert config.dump(cfg) == manifest["config"]
     assert cfg.attack_grid == (0.1,) and cfg.output_dir == str(out)
     assert cfg.scenario == harness.load_config(tiny_config_path).scenario
     assert manifest["versions"]["numpy"] == np.__version__
     assert set(manifest["versions"]) == {"beamsec", "numpy", "python"}
-    assert set(manifest["blas"]) == {"name", "version"}
-    assert manifest["env"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}
+    assert set(manifest["blas"]) == {"name", "version", "threads"}
+    assert manifest["blas"]["threads"] == 1
+
+
+def test_run_results_do_not_depend_on_openblas_num_threads(tmp_path):
+    """numcore sets OpenBLAS to one thread as it loads, so a run writes the
+    same results.csv with OPENBLAS_NUM_THREADS unset, 1 and 2. Left at the
+    default count, this config's SC3 rows differ from those at one thread;
+    the tiny scenario's do not, so it cannot show the difference."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"defense": {"max_rounds": 2}, "num_instances": 4000}))
+    root = Path(__file__).resolve().parent.parent
+    results = []
+    for threads in (None, "1", "2"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"threads_{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "beamsec.cli", "run", "--config", str(cfg),
+             "--reps", "1", "--out", str(out)],
+            cwd=root, env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        results.append((out / "results.csv").read_bytes())
+    assert results[0] == results[1] == results[2]
 
 
 @pytest.mark.parametrize(
@@ -399,11 +426,17 @@ def test_run_manifest_round_trips_the_config(runner, tmp_path, tiny_config_path,
         ("SC4,0.1,0,0.01", r"results\.csv:3: unknown scenario 'SC4'"),
         ("sc1,0,0,0.01", r"results\.csv:3: unknown scenario 'sc1'"),
         ("SC2,0,0,0.01", r"results\.csv:3: SC2 row at epsilon 0"),
+        ("SC1,-0,0,0.01", r"results\.csv:3: negative repetition or epsilon"),
+        (
+            "SC2,0.1,0,0.02\nSC2,0.1000001,0,0.03",
+            r"results\.csv:4: epsilon 0\.1000001 prints like 0\.1$",
+        ),
         (None, r"results\.csv: no result rows"),
     ],
 )
 def test_malformed_results_csv_exits_3(runner, tmp_path, line, message):
-    """Each line follows a header and one SC1 row; None leaves the header alone."""
+    """Each entry (a line, or two) follows a header and one SC1 row; None
+    leaves the header alone."""
     path = tmp_path / "results.csv"
     rows = "" if line is None else f"SC1,0,0,0.01\n{line}\n"
     path.write_text(f"scenario,epsilon,repetition,mse\n{rows}")

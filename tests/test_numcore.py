@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 import threading
 import tracemalloc
 
@@ -271,6 +273,21 @@ def test_blocked_passes_equal_full_batch_bit_for_bit(which, tiny_trained):
     """
     model = tiny_trained.model if which == "tiny_trained" else numcore.init_model(16, 21)
     assert_blocked_passes_equal_full_batch(model)
+
+
+def test_importing_numcore_sets_openblas_to_one_thread():
+    """numcore sets numpy's OpenBLAS to one thread as it loads, whatever
+    OPENBLAS_NUM_THREADS says, so the blocked passes may take every usable
+    core. OpenBLAS's own getter, under the names numpy builds export it by,
+    reads the count back."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    names = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+             "openblas_get_num_threads")
+    getter = next(getattr(lib, name) for name in names if hasattr(lib, name))
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    assert numcore.BLAS_THREADS == 1
+    assert getter() == 1
+    assert numcore._pass_threads() == len(os.sched_getaffinity(0))
 
 
 def force_threads(monkeypatch, threads):

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import harness, numcore
 from .attack import AttackConfig, attack_dataset
-from .channel import Dataset, build_dataset, dataset_to_csv, load_dataset, save_dataset
-from .config import ConfigError, load as load_fields
+from .channel import build_dataset, dataset_to_csv, load_dataset, save_dataset
+from .config import ConfigError
 from .defense import adversarial_train, kept_round, round_history_to_csv
 from .framing import FormatError
 from .harness import load_config
@@ -28,9 +28,6 @@ def _guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except ConfigError as exc:
-            click.echo(f"config error: {exc}", err=True)
-            sys.exit(2)
         except FormatError as exc:
             click.echo(f"format error: {exc}", err=True)
             sys.exit(3)
@@ -98,15 +95,7 @@ def attack(model_path, data, eps, out):
     model = numcore.load_model(model_path)
     ds = load_dataset(data)
     x_adv = attack_dataset(model, ds, AttackConfig(epsilon=eps))
-    adv_ds = Dataset(
-        features=x_adv,
-        labels=ds.labels,
-        norm_meta=ds.norm_meta,
-        scenario=ds.scenario,
-        adversarial=True,
-        epsilon=float(eps),
-    )
-    save_dataset(adv_ds, out)
+    save_dataset(replace(ds, features=x_adv, adversarial=True, epsilon=float(eps)), out)
     clean = numcore.mse_loss(numcore.predict(model, ds.features), ds.labels)
     attacked = numcore.mse_loss(numcore.predict(model, x_adv), ds.labels)
     click.echo(f"clean MSE {clean:.6g} -> attacked MSE {attacked:.6g} at eps={eps:g}")
@@ -138,7 +127,7 @@ def defend(config, data, seed, out, history_path):
 
 @main.command()
 @click.option("--config", type=click.Path(), default=None, help="JSON experiment config.")
-@click.option("--seed", type=int, default=None, help="Override base_seed.")
+@click.option("--seed", type=int, default=None, help="Override the scenario seed.")
 @click.option("--reps", type=int, default=None, help="Override repetition count.")
 @click.option("--eps", type=str, default=None, help="Comma-separated attack budgets.")
 @click.option("--out", type=click.Path(), default=None, help="Override output directory.")
@@ -153,19 +142,15 @@ def defend(config, data, seed, out, history_path):
 def run(config, seed, reps, eps, out, fmt):
     """Run the full scenario sweep and write results plus a summary report."""
     cfg = load_config(config)
-    overrides = {}
     if seed is not None:
-        overrides["base_seed"] = seed
-    if reps is not None:
-        overrides["repetitions"] = reps
-    if out is not None:
-        overrides["output_dir"] = out
+        cfg = replace(cfg, scenario=replace(cfg.scenario, seed=seed))
     if eps is not None:
         try:
-            overrides["attack_grid"] = [float(v) for v in eps.split(",")]
+            eps = tuple(float(v) for v in eps.split(","))
         except ValueError:
             raise ConfigError(f"--eps must be a comma-separated float list, got {eps!r}")
-    cfg = load_fields(harness.ExperimentConfig, overrides, base=cfg)
+    flags = {"repetitions": reps, "attack_grid": eps, "output_dir": out}
+    cfg = replace(cfg, **{name: v for name, v in flags.items() if v is not None})
     result = harness.run_experiment(cfg)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -174,7 +159,8 @@ def run(config, seed, reps, eps, out, fmt):
     result.stages_to_csv(out_dir / "stages.csv")
     summary = harness.summarize(result)
     written = harness.emit_report(summary, out_dir, fmt)
-    for path in [out_dir / "results.csv", out_dir / "manifest.json", *written]:
+    files = ("results.csv", "manifest.json", "stages.csv")
+    for path in [*(out_dir / name for name in files), *written]:
         click.echo(f"wrote {path}")
     for row in summary:
         click.echo(

@@ -21,9 +21,8 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration field; message carries the field path."""
 
 
-def load(cls, doc, path: str = "", base=None):
-    """Build dataclass `cls` from a JSON object. Omitted fields keep the values
-    of `base`, or cls's defaults when base is None."""
+def load(cls, doc, path: str = ""):
+    """Build dataclass `cls` from a JSON object; omitted fields keep cls's defaults."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{path or 'config root'}: expected an object")
     hints = typing.get_type_hints(cls)
@@ -33,7 +32,7 @@ def load(cls, doc, path: str = "", base=None):
             raise ConfigError(f"unknown config field: {prefix}{key}")
     kwargs = {key: _value(hints[key], value, prefix + key) for key, value in doc.items()}
     try:
-        return cls(**kwargs) if base is None else dataclasses.replace(base, **kwargs)
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:  # missing fields, or __post_init__ checks
         raise ConfigError(f"{path}: {exc}" if path else str(exc)) from None
 

@@ -5,8 +5,8 @@ under FGSM at each budget in the attack grid, SC3 the MSE under the same
 attacks of the model that adversarial training derives from the SC1 model
 (its round 0). All three come from attack.attacked_mse: SC1 is its budget-0
 entry, at which no row moves, so SC1 rows have epsilon 0 and SC2/SC3 rows a
-positive one. Every repetition r is fully determined by base_seed + r, so
-results are reproducible byte for byte.
+positive one. Every repetition r is fully determined by scenario.seed + r,
+so results are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ class ExperimentConfig:
     defense: DefenseConfig = field(default_factory=DefenseConfig)
     attack_grid: Tuple[float, ...] = DEFAULT_ATTACK_GRID
     repetitions: int = 20
-    base_seed: int = 1
     num_instances: int = 12500
     train_fraction: float = 0.8
     output_dir: str = "results"
@@ -56,18 +55,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if len(self.attack_grid) == 0:
             raise ValueError("attack_grid must be nonempty")
-        if any(e <= 0 for e in self.attack_grid):
-            raise ValueError("attack_grid budgets must be positive")
+        if not all(math.isfinite(e) and e > 0 for e in self.attack_grid):
+            raise ValueError("attack_grid budgets must be finite and positive")
         if len({f"{e:.6g}" for e in self.attack_grid}) != len(self.attack_grid):
             raise ValueError("attack_grid budgets must differ at 6 significant digits")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be nonnegative")
-        if self.num_instances < 2:
-            raise ValueError("num_instances must be at least 2")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie in (0, 1)")
+        if not 1 <= int(round(self.train_fraction * self.num_instances)) < self.num_instances:
+            raise ValueError("train_fraction of num_instances leaves a split side empty")
 
 
 @dataclass(frozen=True)
@@ -145,7 +142,7 @@ def _run_repetition(cfg: ExperimentConfig, repetition: int, stages: list) -> Lis
     """One repetition's result rows. As each stage ends, its (repetition,
     stage, seconds, rows) entry is appended to `stages`, timed from the end
     of the one before, so the entries tile the repetition."""
-    seed = cfg.base_seed + repetition
+    seed = cfg.scenario.seed + repetition
     params = replace(cfg.scenario, seed=seed)
     t0 = time.perf_counter()
 
@@ -296,13 +293,8 @@ def emit_report(rows: Sequence[SummaryRow], out_dir, fmt: str = "csv") -> List[P
     return [path]
 
 
-def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Build a validated config from a plain JSON document; all fields optional."""
-    return config.load(ExperimentConfig, doc)
-
-
 def write_manifest(cfg: ExperimentConfig, path) -> None:
-    """manifest.json of a run: its resolved config (config.dump, which config_from_dict
+    """manifest.json of a run: its resolved config (config.dump, which config.load
     reads back) and the versions and BLAS (with numcore's thread count) the bits follow."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -332,4 +324,4 @@ def load_config(path=None) -> ExperimentConfig:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}")
-    return config_from_dict(doc)
+    return config.load(ExperimentConfig, doc)

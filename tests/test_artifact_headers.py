@@ -35,7 +35,7 @@ CHECKPOINT_HEADER = (
 
 MANIFEST_CONFIG = (
     '{"attack_grid": [0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09, 0.1], '
-    '"base_seed": 1, "defense": {"epsilon": 0.1, "max_rounds": 10, '
+    '"defense": {"epsilon": 0.1, "max_rounds": 10, '
     '"steady_state_rel_tol": 0.01}, "num_instances": 12500, "output_dir": "results", '
     '"repetitions": 20, "scenario": {"bandwidth_hz": 100000000.0, "bs_positions": [[0.0, '
     '0.0]], "carrier_wavelength_m": 0.0107068735, "codebook_oversampling": 2, '

@@ -129,6 +129,7 @@ def test_run_writes_stages_csv(runner, tmp_path, tiny_config_path):
     args = ["run", "--config", str(tiny_config_path), "--reps", "2", "--out", str(out)]
     result = runner.invoke(cli.main, args)
     assert result.exit_code == 0, result.output
+    assert f"wrote {out / 'stages.csv'}" in result.output.splitlines()
     lines = (out / "stages.csv").read_text().splitlines()
     assert lines[0] == "repetition,stage,seconds,rows"
     entries = [line.split(",") for line in lines[1:]]
@@ -141,6 +142,40 @@ def test_run_writes_stages_csv(runner, tmp_path, tiny_config_path):
     # (max_rounds = 2) trains on a pool of 2 x 240 rows
     assert [int(rows) for *_, rows in entries] == [300, 300, 240, 60, 480, 60] * 2
     assert not (out / "timings.csv").exists()
+
+
+def test_run_draws_its_data_from_the_scenario_seed(runner, tmp_path, tiny_config_path):
+    """run's data follow scenario.seed, and --seed N sets that field: a config
+    holding seed 7 and --seed 7 on one without it write the same results.csv,
+    unlike seed 1; the manifest records the seed the run used."""
+    doc = json.loads(tiny_config_path.read_text())
+    del doc["scenario"]["seed"]
+    unseeded, seeded = tmp_path / "unseeded.json", tmp_path / "seeded.json"
+    unseeded.write_text(json.dumps(doc))
+    doc["scenario"]["seed"] = 7
+    seeded.write_text(json.dumps(doc))
+
+    def results(name, *args):
+        out = tmp_path / name
+        result = runner.invoke(cli.main, ["run", *args, "--eps", "0.1", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        return out
+
+    from_config = results("config7", "--config", str(seeded))
+    from_flag = results("flag7", "--config", str(unseeded), "--seed", "7")
+    default = results("seed1", "--config", str(unseeded))
+    text = (from_config / "results.csv").read_bytes()
+    assert text == (from_flag / "results.csv").read_bytes()
+    assert text != (default / "results.csv").read_bytes()
+    for out, seed in ((from_config, 7), (from_flag, 7), (default, 1)):
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["scenario"]["seed"] == seed
+
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps({"base_seed": 7}))
+    result = runner.invoke(cli.main, ["run", "--config", str(legacy), "--out", str(tmp_path / "s")])
+    assert result.exit_code == 2
+    assert "unknown config field: base_seed" in result.output
 
 
 def test_unknown_config_field_exits_2(runner, tmp_path):
@@ -378,7 +413,7 @@ def test_run_manifest_round_trips_the_config(runner, tmp_path, tiny_config_path)
     assert result.exit_code == 0, result.output
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest) == {"config", "versions", "blas"}
-    cfg = harness.config_from_dict(manifest["config"])
+    cfg = config.load(harness.ExperimentConfig, manifest["config"])
     assert config.dump(cfg) == manifest["config"]
     assert cfg.attack_grid == (0.1,) and cfg.output_dir == str(out)
     assert cfg.scenario == harness.load_config(tiny_config_path).scenario

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import replace
+from pathlib import Path
 from typing import List
 
 import numpy as np
@@ -21,7 +22,6 @@ from beamsec.harness import (
     ResultRow,
     SummaryRow,
     _SEED_SALT,
-    config_from_dict,
     emit_report,
     load_config,
     run_experiment,
@@ -82,7 +82,7 @@ def test_run_rows_equal_the_reference_path(tiny_scenario):
     cfg = tiny_config(tiny_scenario, attack_grid=(0.02, 0.05, 0.1))
     result = run_experiment(cfg)
 
-    seed = cfg.base_seed
+    seed = cfg.scenario.seed
     dataset = build_dataset(replace(cfg.scenario, seed=seed), cfg.num_instances)
     streams = np.random.SeedSequence([seed, _SEED_SALT]).spawn(3)
     split_rng, train_rng, defense_rng = (np.random.default_rng(s) for s in streams)
@@ -458,54 +458,64 @@ def test_report_bytes_are_pinned(tmp_path, case):
 def test_config_defaults_round_trip():
     cfg = ExperimentConfig()
     assert cfg.repetitions == 20
-    assert cfg.base_seed == 1
+    assert cfg.scenario.seed == 1
     assert cfg.attack_grid == tuple(round(0.01 * i, 2) for i in range(1, 11))
     assert cfg.num_instances == 12500
-    rebuilt = config_from_dict(config.dump(cfg))
+    rebuilt = config.load(ExperimentConfig, config.dump(cfg))
     assert rebuilt == cfg
+
+
+def test_readme_config_block_is_the_defaults():
+    """The one JSON block of README's Configuration section loads as the
+    all-defaults config, so the documented schema and defaults stay current."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = section.split("```json\n")[1:]
+    doc = json.loads(block.split("```", 1)[0])
+    assert config.load(ExperimentConfig, doc) == ExperimentConfig()
 
 
 def test_config_rejects_unknown_fields():
     with pytest.raises(ConfigError, match="unknown config field: bogus"):
-        config_from_dict({"bogus": 1})
+        config.load(ExperimentConfig, {"bogus": 1})
     with pytest.raises(ConfigError, match="scenario.bogus"):
-        config_from_dict({"scenario": {"bogus": 1}})
+        config.load(ExperimentConfig, {"scenario": {"bogus": 1}})
     with pytest.raises(ConfigError, match="train.bogus"):
-        config_from_dict({"train": {"bogus": 1}})
+        config.load(ExperimentConfig, {"train": {"bogus": 1}})
     with pytest.raises(ConfigError, match="defense.bogus"):
-        config_from_dict({"defense": {"bogus": 1}})
+        config.load(ExperimentConfig, {"defense": {"bogus": 1}})
 
 
 def test_config_type_errors_name_the_field():
     with pytest.raises(ConfigError, match="repetitions"):
-        config_from_dict({"repetitions": 2.5})
+        config.load(ExperimentConfig, {"repetitions": 2.5})
     with pytest.raises(ConfigError, match="repetitions"):
-        config_from_dict({"repetitions": True})
-    with pytest.raises(ConfigError, match="repetitions"):
-        config_from_dict({"repetitions": 2.0})  # an integer field takes JSON integers only
+        config.load(ExperimentConfig, {"repetitions": True})
+    with pytest.raises(ConfigError, match="repetitions"):  # an int field takes JSON integers only
+        config.load(ExperimentConfig, {"repetitions": 2.0})
     with pytest.raises(ConfigError, match="train_fraction"):
-        config_from_dict({"train_fraction": "most"})
+        config.load(ExperimentConfig, {"train_fraction": "most"})
     with pytest.raises(ConfigError, match=r"attack_grid\[1\]"):
-        config_from_dict({"attack_grid": [0.1, "x"]})
+        config.load(ExperimentConfig, {"attack_grid": [0.1, "x"]})
     with pytest.raises(ConfigError, match=r"attack_grid\[0\]"):
-        config_from_dict({"attack_grid": [float("inf")]})
+        config.load(ExperimentConfig, {"attack_grid": [float("inf")]})
     with pytest.raises(ConfigError, match=r"scenario\.snr_linear"):
-        config_from_dict({"scenario": {"snr_linear": float("nan")}})
+        config.load(ExperimentConfig, {"scenario": {"snr_linear": float("nan")}})
     with pytest.raises(ConfigError):
-        config_from_dict({"attack_grid": []})
+        config.load(ExperimentConfig, {"attack_grid": []})
     with pytest.raises(ConfigError):
-        config_from_dict({"output_dir": 7})
+        config.load(ExperimentConfig, {"output_dir": 7})
     with pytest.raises(ConfigError):
-        config_from_dict({"repetitions": 0})
+        config.load(ExperimentConfig, {"repetitions": 0})
 
 
 def test_config_dataclass_field_takes_an_object_only():
     """A dataclass field is an object of its fields; a list of them in order
     is rejected, naming the field path."""
     with pytest.raises(ConfigError, match=r"^scenario\.user_grid: expected an object$"):
-        config_from_dict({"scenario": {"user_grid": [1.0, 2.0, 0.0, 1.0, 0.5]}})
+        config.load(ExperimentConfig, {"scenario": {"user_grid": [1.0, 2.0, 0.0, 1.0, 0.5]}})
     with pytest.raises(ConfigError, match=r"^train: expected an object$"):
-        config_from_dict({"train": [0.01, 100, 10, 0.9, 0.999, 1e-8]})
+        config.load(ExperimentConfig, {"train": [0.01, 100, 10, 0.9, 0.999, 1e-8]})
 
 
 def test_config_scenario_overrides_apply():
@@ -517,7 +527,7 @@ def test_config_scenario_overrides_apply():
         },
         "attack_grid": [0.05],
     }
-    cfg = config_from_dict(doc)
+    cfg = config.load(ExperimentConfig, doc)
     assert cfg.scenario.num_antennas == 8
     assert cfg.scenario.user_grid == UserGrid(1.0, 2.0, 0.0, 1.0, 0.5)
     assert cfg.scenario.walls == ((-1.0, 3.0, 10.0, 3.0),)
@@ -527,9 +537,9 @@ def test_config_scenario_overrides_apply():
 def test_load_config_file(tmp_path):
     assert load_config(None) == ExperimentConfig()
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"repetitions": 3, "base_seed": 9}))
+    path.write_text(json.dumps({"repetitions": 3, "scenario": {"seed": 9}}))
     cfg = load_config(path)
-    assert (cfg.repetitions, cfg.base_seed) == (3, 9)
+    assert (cfg.repetitions, cfg.scenario.seed) == (3, 9)
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
@@ -541,6 +551,9 @@ def test_experiment_config_validation(tiny_scenario):
         tiny_config(tiny_scenario, attack_grid=())
     with pytest.raises(ValueError):
         tiny_config(tiny_scenario, attack_grid=(0.0,))
+    for budget in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            tiny_config(tiny_scenario, attack_grid=(budget,))
     with pytest.raises(ValueError, match="6 significant digits"):
         tiny_config(tiny_scenario, attack_grid=(0.1, 0.05, 0.1000001))
     with pytest.raises(ValueError):
@@ -549,3 +562,6 @@ def test_experiment_config_validation(tiny_scenario):
         tiny_config(tiny_scenario, train_fraction=1.0)
     with pytest.raises(ValueError):
         tiny_config(tiny_scenario, num_instances=1)
+    # 0.9 x 3 rounds to 3 training rows, which leaves the test side empty
+    with pytest.raises(ValueError, match="train_fraction of num_instances"):
+        tiny_config(tiny_scenario, num_instances=3, train_fraction=0.9)

@@ -18,7 +18,7 @@ from . import harness, numcore
 from .attack import AttackConfig, attack_dataset
 from .channel import build_dataset, dataset_to_csv, load_dataset, save_dataset
 from .config import ConfigError
-from .defense import adversarial_train, kept_round, round_history_to_csv
+from .defense import adversarial_train, kept_round
 from .framing import FormatError
 from .harness import load_config
 
@@ -44,6 +44,11 @@ def _guarded(fn):
     return wrapper
 
 
+_format_option = click.option(
+    "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", help="Report format."
+)
+
+
 @click.group()
 def main():
     """Beam-rate prediction pipeline: datasets, models, attacks, defenses, sweeps."""
@@ -51,7 +56,7 @@ def main():
 
 @main.command()
 @click.option("--config", type=click.Path(), default=None, help="JSON experiment config.")
-@click.option("--seed", type=int, default=None, help="Override the scenario seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="Override the scenario seed.")
 @click.option("--instances", type=int, default=None, help="Override the instance count.")
 @click.option("--out", type=click.Path(), required=True, help="Output dataset file.")
 @click.option("--csv", "csv_path", type=click.Path(), default=None, help="Also export CSV here.")
@@ -71,7 +76,7 @@ def generate(config, seed, instances, out, csv_path):
 @main.command()
 @click.option("--config", type=click.Path(), default=None, help="JSON experiment config.")
 @click.option("--data", type=click.Path(), required=True, help="Training dataset file.")
-@click.option("--seed", type=int, default=1, help="Seed for init and shuffling.")
+@click.option("--seed", type=click.IntRange(min=0), default=1, help="Seed for init and shuffling.")
 @click.option("--out", type=click.Path(), required=True, help="Output model checkpoint.")
 @_guarded
 def train(config, data, seed, out):
@@ -94,6 +99,11 @@ def attack(model_path, data, eps, out):
     """Write an FGSM-perturbed copy of a dataset."""
     model = numcore.load_model(model_path)
     ds = load_dataset(data)
+    if model.spec.input_dim != ds.num_features:
+        raise ConfigError(
+            f"model {model_path} takes {model.spec.input_dim} features, "
+            f"dataset {data} has {ds.num_features}"
+        )
     x_adv = attack_dataset(model, ds, AttackConfig(epsilon=eps))
     save_dataset(replace(ds, features=x_adv, adversarial=True, epsilon=float(eps)), out)
     clean = numcore.mse_loss(numcore.predict(model, ds.features), ds.labels)
@@ -104,7 +114,7 @@ def attack(model_path, data, eps, out):
 @main.command()
 @click.option("--config", type=click.Path(), default=None, help="JSON experiment config.")
 @click.option("--data", type=click.Path(), required=True, help="Training dataset file.")
-@click.option("--seed", type=int, default=1, help="Seed for the defense run.")
+@click.option("--seed", type=click.IntRange(min=0), default=1, help="Seed for the defense run.")
 @click.option("--out", type=click.Path(), required=True, help="Output model checkpoint.")
 @click.option("--history", "history_path", type=click.Path(), default=None, help="Round history CSV.")
 @_guarded
@@ -117,7 +127,7 @@ def defend(config, data, seed, out, history_path):
     model, history = adversarial_train(model, ds, cfg.train, cfg.defense, rng)
     numcore.save_model(model, out)
     if history_path:
-        round_history_to_csv(history, history_path)
+        harness.round_history_to_csv(history, history_path)
     kept = kept_round(history)
     click.echo(
         f"{len(history)} rounds; kept round {kept.round_index}: clean MSE "
@@ -127,17 +137,11 @@ def defend(config, data, seed, out, history_path):
 
 @main.command()
 @click.option("--config", type=click.Path(), default=None, help="JSON experiment config.")
-@click.option("--seed", type=int, default=None, help="Override the scenario seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="Override the scenario seed.")
 @click.option("--reps", type=int, default=None, help="Override repetition count.")
 @click.option("--eps", type=str, default=None, help="Comma-separated attack budgets.")
 @click.option("--out", type=click.Path(), default=None, help="Override output directory.")
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["csv", "json"]),
-    default="csv",
-    help="Report format.",
-)
+@_format_option
 @_guarded
 def run(config, seed, reps, eps, out, fmt):
     """Run the full scenario sweep and write results plus a summary report."""
@@ -172,13 +176,7 @@ def run(config, seed, reps, eps, out, fmt):
 @main.command()
 @click.option("--results", type=click.Path(), required=True, help="results.csv from a run.")
 @click.option("--out", type=click.Path(), required=True, help="Output directory.")
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["csv", "json"]),
-    default="csv",
-    help="Report format.",
-)
+@_format_option
 @_guarded
 def report(results, out, fmt):
     """Summarize an existing results table into a report."""

@@ -98,11 +98,3 @@ def kept_round(history: Sequence[RoundRecord]) -> RoundRecord:
     adversarial MSE, earliest on ties."""
     return min(history, key=lambda rec: rec.adv_mse)
 
-
-def round_history_to_csv(history: Sequence[RoundRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("round,clean_mse,adv_mse,dataset_rows\n")
-        for rec in history:
-            fh.write(
-                f"{rec.round_index},{rec.clean_mse:.12g},{rec.adv_mse:.12g},{rec.dataset_rows}\n"
-            )

@@ -17,7 +17,7 @@ import platform
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from . import __version__, config, numcore
 from .attack import attacked_mse
 from .channel import ScenarioParams, build_dataset, default_scenario, split_dataset
 from .config import ConfigError
-from .defense import DefenseConfig, adversarial_train
+from .defense import DefenseConfig, RoundRecord, adversarial_train
 from .framing import FormatError
 
 SC1 = "SC1"
@@ -36,9 +36,23 @@ DEFAULT_ATTACK_GRID = tuple(round(0.01 * i, 2) for i in range(1, 11))
 
 RESULTS_HEADER = "scenario,epsilon,repetition,mse"
 SUMMARY_HEADER = "scenario,epsilon,mean_mse,std_mse,min_mse,max_mse,n"
+RATIOS_HEADER = "scenario,epsilon,mse_ratio_vs_clean"
 STAGES_HEADER = "repetition,stage,seconds,rows"
+ROUNDS_HEADER = "round,clean_mse,adv_mse,dataset_rows"
 
 _SEED_SALT = 0xB5EC  # keeps harness child streams apart from dataset streams
+
+
+def _write_table(path, header: str, lines: Iterable[str]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(line + "\n" for line in lines)
+
+
+def _write_json(path, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 @dataclass
@@ -83,16 +97,12 @@ class ExperimentResult:
 
     def to_csv(self, path) -> None:
         """Deterministic result table; wall times go to stages_to_csv instead."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(RESULTS_HEADER + "\n")
-            for r in self.rows:
-                fh.write(f"{r.scenario_id},{r.epsilon:.6g},{r.repetition},{r.mse:.12g}\n")
+        lines = (f"{r.scenario_id},{r.epsilon:.6g},{r.repetition},{r.mse:.12g}" for r in self.rows)
+        _write_table(path, RESULTS_HEADER, lines)
 
     def stages_to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(STAGES_HEADER + "\n")
-            for repetition, stage, seconds, rows in self.stages:
-                fh.write(f"{repetition},{stage},{seconds:.6g},{rows}\n")
+        lines = (f"{rep},{stage},{seconds:.6g},{rows}" for rep, stage, seconds, rows in self.stages)
+        _write_table(path, STAGES_HEADER, lines)
 
     @staticmethod
     def from_csv(path) -> "ExperimentResult":
@@ -234,17 +244,14 @@ def summarize(result: ExperimentResult) -> List[SummaryRow]:
     return rows
 
 
-def _sig6(value: float) -> float:
-    return float(f"{value:.6g}")
-
-
 def emit_report(rows: Sequence[SummaryRow], out_dir, fmt: str = "csv") -> List[Path]:
     """Write summarize's rows in the requested format; returns the paths written.
 
     CSV: summary.csv (fixed header) plus ratios.csv, one line per row that
     has a ratio. JSON: summary.json with the same rows and, under "ratios",
-    an "SC2_over_SC1"/"SC3_over_SC1" table of those ratios by epsilon;
-    floats carry 6 significant digits.
+    an "SC2_over_SC1"/"SC3_over_SC1" table of those ratios by epsilon. Every
+    float is rendered once at 6 significant digits, and summary.json holds
+    the numbers those CSV cells print.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown report format: {fmt!r}")
@@ -252,45 +259,32 @@ def emit_report(rows: Sequence[SummaryRow], out_dir, fmt: str = "csv") -> List[P
         raise ValueError("cannot emit an empty summary")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ratio_rows = [r for r in rows if r.ratio is not None]
+    cells = [
+        [r.scenario_id]
+        + [f"{v:.6g}" for v in (r.epsilon, r.mean_mse, r.std_mse, r.min_mse, r.max_mse)]
+        + [str(r.n)]
+        for r in rows
+    ]
+    ratios = [(c[0], c[1], f"{r.ratio:.6g}") for r, c in zip(rows, cells) if r.ratio is not None]
     if fmt == "csv":
-        path = out_dir / "summary.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(SUMMARY_HEADER + "\n")
-            for r in rows:
-                fh.write(
-                    f"{r.scenario_id},{r.epsilon:.6g},{r.mean_mse:.6g},{r.std_mse:.6g},"
-                    f"{r.min_mse:.6g},{r.max_mse:.6g},{r.n}\n"
-                )
-        rpath = out_dir / "ratios.csv"
-        with open(rpath, "w", encoding="utf-8") as fh:
-            fh.write("scenario,epsilon,mse_ratio_vs_clean\n")
-            for r in ratio_rows:
-                fh.write(f"{r.scenario_id},{r.epsilon:.6g},{r.ratio:.6g}\n")
+        path, rpath = out_dir / "summary.csv", out_dir / "ratios.csv"
+        _write_table(path, SUMMARY_HEADER, map(",".join, cells))
+        _write_table(rpath, RATIOS_HEADER, map(",".join, ratios))
         return [path, rpath]
-    ratios: Dict[str, Dict[str, float]] = {}
-    for r in ratio_rows:
-        ratios.setdefault(f"{r.scenario_id}_over_{SC1}", {})[f"{r.epsilon:.6g}"] = _sig6(r.ratio)
-    payload = {
-        "rows": [
-            {
-                "scenario": r.scenario_id,
-                "epsilon": _sig6(r.epsilon),
-                "mean_mse": _sig6(r.mean_mse),
-                "std_mse": _sig6(r.std_mse),
-                "min_mse": _sig6(r.min_mse),
-                "max_mse": _sig6(r.max_mse),
-                "n": r.n,
-            }
-            for r in rows
-        ],
-        "ratios": ratios,
-    }
+    keys = SUMMARY_HEADER.split(",")
+    summary = [dict(zip(keys, [sc, *map(float, nums), int(n)])) for sc, *nums, n in cells]
+    tables: Dict[str, Dict[str, float]] = {}
+    for sc, eps, ratio in ratios:
+        tables.setdefault(f"{sc}_over_{SC1}", {})[eps] = float(ratio)
     path = out_dir / "summary.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, {"rows": summary, "ratios": tables})
     return [path]
+
+
+def round_history_to_csv(history: Sequence[RoundRecord], path) -> None:
+    """adversarial_train's history, one line per round."""
+    lines = (f"{r.round_index},{r.clean_mse:.12g},{r.adv_mse:.12g},{r.dataset_rows}" for r in history)
+    _write_table(path, ROUNDS_HEADER, lines)
 
 
 def write_manifest(cfg: ExperimentConfig, path) -> None:
@@ -310,9 +304,7 @@ def write_manifest(cfg: ExperimentConfig, path) -> None:
         "blas": {"name": blas.get("name"), "version": blas.get("version"),
                  "threads": numcore.BLAS_THREADS},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, manifest)
 
 
 def load_config(path=None) -> ExperimentConfig:

@@ -22,6 +22,11 @@ from .framing import read_framed, write_framed
 RELU = "relu"
 TANH = "tanh"
 
+# Adam's moment decay rates and denominator offset (Kingma and Ba, arXiv:1412.6980).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 _MAGIC = b"BMMLP1"
 
 # predict and input_gradients run this many rows at a time: at width 100 a
@@ -111,9 +116,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     batch_size: int = 100
     epochs: int = 10
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -122,10 +124,6 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if not 0.0 <= self.adam_beta1 < 1.0 or not 0.0 <= self.adam_beta2 < 1.0:
-            raise ValueError("Adam betas must lie in [0, 1)")
-        if self.adam_epsilon <= 0:
-            raise ValueError("adam_epsilon must be positive")
 
 
 @dataclass
@@ -426,7 +424,7 @@ def adam_step(
         raise ValueError("step counter t must be >= 1")
     if grad.shape != params.shape or state.m.shape != params.shape:
         raise ValueError("gradient and moment shapes must match the parameter vector")
-    b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon, cfg.learning_rate
+    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, cfg.learning_rate
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
     m, v, (step, scale) = state.m, state.v, state.work

@@ -356,7 +356,7 @@ def _reference_backward(model, caches, dout):
 
 def _reference_adam_step(model, grads, moments, cfg, t):
     """Bias-corrected Adam, one layer and one parameter array at a time."""
-    b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon, cfg.learning_rate
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, cfg.learning_rate
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
     for layer, (dw, db), (m_w, v_w, m_b, v_b) in zip(model.layers, grads, moments):

@@ -43,8 +43,7 @@ MANIFEST_CONFIG = (
     '"num_subcarriers": 8, "reflection_coeff": 0.7, "seed": 1, "snr_linear": 10.0, '
     '"user_grid": {"spacing": 0.2, "x_max": 8.0, "x_min": 1.0, "y_max": 3.0, '
     '"y_min": -3.0}, "walls": [[-2.0, 4.7, 40.0, 4.7], [-2.0, -4.7, 40.0, -4.7]]}, '
-    '"train": {"adam_beta1": 0.9, "adam_beta2": 0.999, "adam_epsilon": 1e-08, '
-    '"batch_size": 100, "epochs": 10, "learning_rate": 0.01}, "train_fraction": 0.8}'
+    '"train": {"batch_size": 100, "epochs": 10, "learning_rate": 0.01}, "train_fraction": 0.8}'
 )
 
 SCENARIO = {

@@ -355,6 +355,48 @@ def test_non_finite_attack_budget_exits_2(runner, tmp_path, eps):
     assert not out.exists()
 
 
+def test_attack_with_mismatched_model_width_exits_2(runner, tmp_path):
+    """A model built for another feature count is refused before any
+    gradient pass; the message names both files and both widths."""
+    data, model, out = tmp_path / "data.bin", tmp_path / "model.bin", tmp_path / "out.bin"
+    save_dataset(build_dataset(make_tiny_scenario(seed=5), 50), data)
+    numcore.save_model(numcore.init_model(4, 0), model)
+    result = runner.invoke(
+        cli.main,
+        ["attack", "--model", str(model), "--data", str(data), "--eps", "0.1", "--out", str(out)],
+    )
+    assert result.exit_code == 2, result.output
+    assert "config error" in result.output
+    assert str(model) in result.output and str(data) in result.output
+    assert "4 features" in result.output and "has 8" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "defend", "run"])
+def test_negative_seed_exits_2_naming_the_flag(runner, tmp_path, command):
+    data, out = tmp_path / "data.bin", str(tmp_path / "out")
+    save_dataset(build_dataset(make_tiny_scenario(seed=5), 50), data)
+    argv = {
+        "generate": ["generate", "--out", out],
+        "train": ["train", "--data", str(data), "--out", out],
+        "defend": ["defend", "--data", str(data), "--out", out],
+        "run": ["run", "--out", out],
+    }[command]
+    result = runner.invoke(cli.main, [*argv, "--seed", "-1"])
+    assert result.exit_code == 2, result.output
+    assert "--seed" in result.output
+
+
+def test_readme_commands_table_lists_every_command():
+    """README's Commands table names each command of the CLI once."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Commands\n", 1)[1].split("\n## ", 1)[0]
+    table = section.strip().split("\n\n", 1)[0]
+    listed = re.findall(r"^\| `(\w+)` +\|", table, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(cli.main.commands)
+    assert len(listed) == len(set(listed))
+
+
 def test_defend_single_round_checkpoint_equals_train(runner, tmp_path, tiny_config_path):
     """With one round, defend keeps its clean round 0, which it trains from
     --seed in the same draw order as train: the checkpoints are the same bytes."""

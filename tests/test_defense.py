@@ -16,8 +16,8 @@ from beamsec.defense import (
     RoundRecord,
     adversarial_train,
     kept_round,
-    round_history_to_csv,
 )
+from beamsec.harness import round_history_to_csv
 
 
 FAST = numcore.TrainConfig(epochs=2)
@@ -238,3 +238,19 @@ def test_round_history_csv(tmp_path, tiny_scenario):
     lines = path.read_text().splitlines()
     assert lines[0] == "round,clean_mse,adv_mse,dataset_rows"
     assert len(lines) == len(history) + 1
+
+
+def test_round_history_csv_bytes_are_pinned(tmp_path):
+    history = [
+        RoundRecord(0, 0.00123456789012345, 0.1, 240),
+        RoundRecord(1, 1e-20, 123456789012345.0, 480),
+        RoundRecord(2, 0.0, 2.0 / 3.0, 720),
+    ]
+    path = tmp_path / "rounds.csv"
+    round_history_to_csv(history, path)
+    assert path.read_bytes() == (
+        b"round,clean_mse,adv_mse,dataset_rows\n"
+        b"0,0.00123456789012,0.1,240\n"
+        b"1,1e-20,1.23456789012e+14,480\n"
+        b"2,0,0.666666666667,720\n"
+    )

@@ -135,6 +135,18 @@ def test_run_experiment_is_deterministic(tiny_scenario, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_stages_csv_bytes_are_pinned(tmp_path):
+    stages = [(0, "build_dataset", 1.23456789, 300), (0, "train", 0.0, 240), (1, "defense", 1.5e7, 0)]
+    path = tmp_path / "stages.csv"
+    ExperimentResult(rows=[], stages=stages).stages_to_csv(path)
+    assert path.read_bytes() == (
+        b"repetition,stage,seconds,rows\n"
+        b"0,build_dataset,1.23457,300\n"
+        b"0,train,0,240\n"
+        b"1,defense,1.5e+07,0\n"
+    )
+
+
 def test_sc2_converges_to_sc1_as_epsilon_vanishes(tiny_trained):
     """The attacked MSE approaches the clean MSE linearly as the budget
     shrinks; probed at 1e-6 and 1e-8."""
@@ -482,6 +494,8 @@ def test_config_rejects_unknown_fields():
         config.load(ExperimentConfig, {"scenario": {"bogus": 1}})
     with pytest.raises(ConfigError, match="train.bogus"):
         config.load(ExperimentConfig, {"train": {"bogus": 1}})
+    with pytest.raises(ConfigError, match=r"unknown config field: train\.adam_beta1"):
+        config.load(ExperimentConfig, {"train": {"adam_beta1": 0.9}})
     with pytest.raises(ConfigError, match="defense.bogus"):
         config.load(ExperimentConfig, {"defense": {"bogus": 1}})
 

@@ -161,9 +161,10 @@ def run(config, seed, reps, eps, out, fmt):
     result.to_csv(out_dir / "results.csv")
     harness.write_manifest(cfg, out_dir / "manifest.json")
     result.stages_to_csv(out_dir / "stages.csv")
+    result.rounds_to_csv(out_dir / "defense_rounds.csv")
     summary = harness.summarize(result)
     written = harness.emit_report(summary, out_dir, fmt)
-    files = ("results.csv", "manifest.json", "stages.csv")
+    files = ("results.csv", "manifest.json", "stages.csv", "defense_rounds.csv")
     for path in [*(out_dir / name for name in files), *written]:
         click.echo(f"wrote {path}")
     for row in summary:

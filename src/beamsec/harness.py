@@ -6,7 +6,8 @@ attacks of the model that adversarial training derives from the SC1 model
 (its round 0). All three come from attack.attacked_mse: SC1 is its budget-0
 entry, at which no row moves, so SC1 rows have epsilon 0 and SC2/SC3 rows a
 positive one. Every repetition r is fully determined by scenario.seed + r,
-so results are reproducible byte for byte.
+whichever process runs it, so results are reproducible byte for byte and
+the repetitions can run side by side in forked worker processes.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 import platform
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -25,7 +27,7 @@ from . import __version__, config, numcore
 from .attack import attacked_mse
 from .channel import ScenarioParams, build_dataset, default_scenario, split_dataset
 from .config import ConfigError
-from .defense import DefenseConfig, RoundRecord, adversarial_train
+from .defense import DefenseConfig, RoundRecord, adversarial_train, kept_round
 from .framing import FormatError
 
 SC1 = "SC1"
@@ -39,6 +41,7 @@ SUMMARY_HEADER = "scenario,epsilon,mean_mse,std_mse,min_mse,max_mse,n"
 RATIOS_HEADER = "scenario,epsilon,mse_ratio_vs_clean"
 STAGES_HEADER = "repetition,stage,seconds,rows"
 ROUNDS_HEADER = "round,clean_mse,adv_mse,dataset_rows"
+DEFENSE_ROUNDS_HEADER = f"repetition,{ROUNDS_HEADER},kept"
 
 _SEED_SALT = 0xB5EC  # keeps harness child streams apart from dataset streams
 
@@ -94,6 +97,8 @@ class ExperimentResult:
     rows: List[ResultRow]
     # (repetition, stage, seconds, rows) of each stage run, see _run_repetition
     stages: List[Tuple[int, str, float, int]] = field(default_factory=list)
+    # each repetition's adversarial_train history, in repetition order
+    rounds: List[List[RoundRecord]] = field(default_factory=list)
 
     def to_csv(self, path) -> None:
         """Deterministic result table; wall times go to stages_to_csv instead."""
@@ -103,6 +108,12 @@ class ExperimentResult:
     def stages_to_csv(self, path) -> None:
         lines = (f"{rep},{stage},{seconds:.6g},{rows}" for rep, stage, seconds, rows in self.stages)
         _write_table(path, STAGES_HEADER, lines)
+
+    def rounds_to_csv(self, path) -> None:
+        """Each repetition's defense rounds; kept marks the one SC3 attacks (defense.kept_round)."""
+        rounds = ((rep, r, kept_round(h)) for rep, h in enumerate(self.rounds) for r in h)
+        lines = (f"{rep},{_round_cells(r)},{int(r is kept)}" for rep, r, kept in rounds)
+        _write_table(path, DEFENSE_ROUNDS_HEADER, lines)
 
     @staticmethod
     def from_csv(path) -> "ExperimentResult":
@@ -148,12 +159,13 @@ class ExperimentResult:
         return ExperimentResult(rows=rows)
 
 
-def _run_repetition(cfg: ExperimentConfig, repetition: int, stages: list) -> List[ResultRow]:
-    """One repetition's result rows. As each stage ends, its (repetition,
-    stage, seconds, rows) entry is appended to `stages`, timed from the end
-    of the one before, so the entries tile the repetition."""
+def _run_repetition(cfg: ExperimentConfig, repetition: int):
+    """One repetition's result rows, stage entries and defense history. As each
+    stage ends, its (repetition, stage, seconds, rows) entry joins the stages,
+    timed from the end of the one before, so the entries tile the repetition."""
     seed = cfg.scenario.seed + repetition
     params = replace(cfg.scenario, seed=seed)
+    stages = []
     t0 = time.perf_counter()
 
     def lap(stage, rows):
@@ -183,18 +195,29 @@ def _run_repetition(cfg: ExperimentConfig, repetition: int, stages: list) -> Lis
     defended = attacked_mse(robust, X, y, grid)
     rows += [ResultRow(SC3, float(eps), repetition, mse) for eps, mse in zip(grid, defended)]
     lap("attack_sc3", test_ds.num_rows)
-    return rows
+    return rows, stages, history
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """All repetitions of SC1/SC2/SC3, run one after another; rows come back
-    sorted by (scenario, epsilon, repetition)."""
-    stages: list = []
-    rows = [row for r in range(cfg.repetitions) for row in _run_repetition(cfg, r, stages)]
-    rows.sort(key=lambda r: (r.scenario_id, r.epsilon, r.repetition))
+    """All repetitions of SC1/SC2/SC3, each in a forked worker process, one per
+    core usable at one BLAS thread (numcore._pass_threads), or all in this
+    process when that is one core or one repetition. Rows come back sorted by
+    (scenario, epsilon, repetition), stages and rounds in repetition order."""
+    run, reps = partial(_run_repetition, cfg), range(cfg.repetitions)
+    if (workers := min(cfg.repetitions, numcore._pass_threads())) == 1:
+        outcomes = list(map(run, reps))
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+            outcomes = list(pool.map(run, reps))
+    rep_rows, rep_stages, rounds = zip(*outcomes)
+    rows = sorted(sum(rep_rows, []), key=lambda r: (r.scenario_id, r.epsilon, r.repetition))
     if any(not np.isfinite(r.mse) for r in rows):
         raise numcore.NumericalError("experiment produced a non-finite MSE")
-    return ExperimentResult(rows=rows, stages=stages)
+    return ExperimentResult(rows=rows, stages=sum(rep_stages, []), rounds=list(rounds))
 
 
 @dataclass(frozen=True)
@@ -281,10 +304,13 @@ def emit_report(rows: Sequence[SummaryRow], out_dir, fmt: str = "csv") -> List[P
     return [path]
 
 
+def _round_cells(r: RoundRecord) -> str:
+    return f"{r.round_index},{r.clean_mse:.12g},{r.adv_mse:.12g},{r.dataset_rows}"
+
+
 def round_history_to_csv(history: Sequence[RoundRecord], path) -> None:
     """adversarial_train's history, one line per round."""
-    lines = (f"{r.round_index},{r.clean_mse:.12g},{r.adv_mse:.12g},{r.dataset_rows}" for r in history)
-    _write_table(path, ROUNDS_HEADER, lines)
+    _write_table(path, ROUNDS_HEADER, map(_round_cells, history))
 
 
 def write_manifest(cfg: ExperimentConfig, path) -> None:

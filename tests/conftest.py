@@ -9,8 +9,10 @@ happens exactly once.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +22,23 @@ from click.testing import CliRunner
 from beamsec import channel, cli, config, numcore
 from beamsec.defense import DefenseConfig
 from beamsec.harness import ExperimentConfig
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def python_env() -> dict:
+    """This environment with the package's sources first on PYTHONPATH, for
+    tests that start Python in a subprocess."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def one_core() -> None:
+    """A subprocess preexec_fn: bind the child to one of the usable cores,
+    so that run_experiment runs its repetitions one after another."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
 def make_tiny_scenario(seed: int = 7) -> channel.ScenarioParams:

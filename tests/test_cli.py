@@ -19,7 +19,7 @@ from beamsec import cli, config, harness, numcore
 from beamsec.channel import Dataset, build_dataset, load_dataset, save_dataset
 from beamsec.framing import write_framed
 
-from conftest import make_tiny_scenario
+from conftest import make_tiny_scenario, one_core, python_env
 
 
 @pytest.fixture()
@@ -142,6 +142,77 @@ def test_run_writes_stages_csv(runner, tmp_path, tiny_config_path):
     # (max_rounds = 2) trains on a pool of 2 x 240 rows
     assert [int(rows) for *_, rows in entries] == [300, 300, 240, 60, 480, 60] * 2
     assert not (out / "timings.csv").exists()
+
+
+def test_run_writes_defense_rounds_csv(runner, tmp_path, tiny_config_path):
+    """defense_rounds.csv: every round adversarial_train ran in each
+    repetition, in order; the pool rows of the rounds after round 0 add up
+    to the defense stage's rows, and kept marks exactly one round per
+    repetition, the first with the lowest adversarial MSE."""
+    out = tmp_path / "sweep"
+    args = ["run", "--config", str(tiny_config_path), "--reps", "2", "--out", str(out)]
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 0, result.output
+    assert f"wrote {out / 'defense_rounds.csv'}" in result.output.splitlines()
+    lines = (out / "defense_rounds.csv").read_text().splitlines()
+    assert lines[0] == "repetition,round,clean_mse,adv_mse,dataset_rows,kept"
+    entries = [line.split(",") for line in lines[1:]]
+    stages = [line.split(",") for line in (out / "stages.csv").read_text().splitlines()[1:]]
+    defense_rows = [int(rows) for _, stage, _, rows in stages if stage == "defense"]
+    assert [int(e[0]) for e in entries] == sorted(int(e[0]) for e in entries)
+    for rep in range(2):
+        rounds = [e for e in entries if e[0] == str(rep)]
+        assert [int(e[1]) for e in rounds] == list(range(len(rounds)))
+        assert 1 <= len(rounds) <= 2  # the config's max_rounds
+        assert sum(int(e[4]) for e in rounds[1:]) == defense_rows[rep]
+        assert [e[5] for e in rounds].count("1") == 1
+        adv = [float(e[3]) for e in rounds]
+        assert rounds[adv.index(min(adv))][5] == "1"
+
+
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2,
+    reason="one usable core: every run is serial, so there is no pooled run to compare",
+)
+@pytest.mark.parametrize("reps", [1, 2, 3])
+def test_pooled_run_writes_the_serial_bytes(tmp_path, tiny_config_path, reps):
+    """run on every usable core (one forked worker per repetition) and on
+    one core (one process) writes the same result files and the same
+    stages.csv but for its seconds; three repetitions give two workers
+    uneven work. Both write to a relative --out, so the manifests agree."""
+    outputs = {}
+    for name, preexec in (("pooled", None), ("serial", one_core)):
+        cwd = tmp_path / name
+        cwd.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "beamsec.cli", "run", "--config", str(tiny_config_path),
+             "--reps", str(reps), "--out", "out"],
+            cwd=cwd, env=python_env(), preexec_fn=preexec, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        out = cwd / "out"
+        files = ("results.csv", "summary.csv", "ratios.csv", "manifest.json", "defense_rounds.csv")
+        stages = (out / "stages.csv").read_text().splitlines()
+        outputs[name] = (
+            {f: (out / f).read_bytes() for f in files},
+            [(rep, stage, rows) for rep, stage, _, rows in (line.split(",") for line in stages)],
+        )
+    assert outputs["pooled"] == outputs["serial"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_numerical_failure_in_a_run_worker_exits_4(runner, tmp_path, tiny_config_path):
+    """Training overflows (learning rate 1e300) in the repetitions' worker
+    processes: the run exits 4 and writes no results.csv."""
+    doc = json.loads(tiny_config_path.read_text())
+    doc["train"]["learning_rate"] = 1e300
+    path = tmp_path / "diverging.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "sweep"
+    result = runner.invoke(cli.main, ["run", "--config", str(path), "--reps", "2", "--out", str(out)])
+    assert result.exit_code == 4, result.output
+    assert "numerical failure" in result.output
+    assert not (out / "results.csv").exists()
 
 
 def test_run_draws_its_data_from_the_scenario_seed(runner, tmp_path, tiny_config_path):
@@ -472,18 +543,16 @@ def test_run_results_do_not_depend_on_openblas_num_threads(tmp_path):
     the tiny scenario's do not, so it cannot show the difference."""
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"defense": {"max_rounds": 2}, "num_instances": 4000}))
-    root = Path(__file__).resolve().parent.parent
     results = []
     for threads in (None, "1", "2"):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+        env = {k: v for k, v in python_env().items() if k != "OPENBLAS_NUM_THREADS"}
         if threads is not None:
             env["OPENBLAS_NUM_THREADS"] = threads
         out = tmp_path / f"threads_{threads}"
         proc = subprocess.run(
             [sys.executable, "-m", "beamsec.cli", "run", "--config", str(cfg),
              "--reps", "1", "--out", str(out)],
-            cwd=root, env=env, capture_output=True, text=True, timeout=600,
+            env=env, capture_output=True, text=True, timeout=600,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         results.append((out / "results.csv").read_bytes())

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -14,7 +17,7 @@ import pytest
 from beamsec import config, numcore
 from beamsec.attack import AttackConfig, attack_dataset
 from beamsec.channel import UserGrid, build_dataset, split_dataset
-from beamsec.defense import DefenseConfig, adversarial_train
+from beamsec.defense import DefenseConfig, RoundRecord, adversarial_train
 from beamsec.harness import (
     ConfigError,
     ExperimentConfig,
@@ -27,6 +30,7 @@ from beamsec.harness import (
     run_experiment,
     summarize,
 )
+from conftest import one_core, python_env
 from oracles import summary_from_json
 
 
@@ -88,7 +92,8 @@ def test_run_rows_equal_the_reference_path(tiny_scenario):
     split_rng, train_rng, defense_rng = (np.random.default_rng(s) for s in streams)
     train_ds, test = split_dataset(dataset, cfg.train_fraction, split_rng)
     plain, _ = numcore.fit(train_ds, cfg.train, train_rng)
-    robust, _ = adversarial_train(plain, train_ds, cfg.train, cfg.defense, defense_rng)
+    robust, history = adversarial_train(plain, train_ds, cfg.train, cfg.defense, defense_rng)
+    assert result.rounds == [history]
 
     def mse(model, X):
         return numcore.mse_loss(numcore.predict(model, X), test.labels)
@@ -112,15 +117,56 @@ def test_row_counts_multi_rep(tiny_scenario):
     assert triples == sorted(triples)  # deterministic row order
 
 
-def test_stage_entries_tile_the_run(tiny_scenario):
+# Prints [elapsed seconds, stages] of run_experiment on the config file argv[1].
+SERIAL_STAGES = """
+import json, sys, time
+from beamsec import config
+from beamsec.harness import ExperimentConfig, run_experiment
+with open(sys.argv[1], encoding="utf-8") as fh:
+    cfg = config.load(ExperimentConfig, json.load(fh))
+t0 = time.perf_counter()
+stages = run_experiment(cfg).stages
+print(json.dumps([time.perf_counter() - t0, stages]))
+"""
+
+
+def test_stage_entries_tile_the_run(tiny_scenario, tmp_path):
     """Each stage is timed from the end of the one before, so the six
-    entries of each repetition add up to nearly all of the run's time."""
+    entries of each repetition add up to no more than the run's time. Pooled
+    repetitions overlap, so only a serial run, in a child process bound to
+    one core, must spend nearly all of its time in them."""
+    cfg = tiny_config(tiny_scenario, repetitions=2)
     t0 = time.perf_counter()
-    result = run_experiment(tiny_config(tiny_scenario, repetitions=2))
+    result = run_experiment(cfg)
     elapsed = time.perf_counter() - t0
     assert [rep for rep, *_ in result.stages] == [0] * 6 + [1] * 6
-    total = sum(seconds for _, _, seconds, _ in result.stages)
+    for rep in (0, 1):
+        assert sum(seconds for r, _, seconds, _ in result.stages if r == rep) <= elapsed
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config.dump(cfg)))
+    proc = subprocess.run(
+        [sys.executable, "-c", SERIAL_STAGES, str(path)],
+        env=python_env(), preexec_fn=one_core, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    elapsed, stages = json.loads(proc.stdout)
+    assert [rep for rep, *_ in stages] == [0] * 6 + [1] * 6
+    total = sum(seconds for _, _, seconds, _ in stages)
     assert 0.9 * elapsed <= total <= elapsed
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_experiment_leaves_no_worker_running(tiny_scenario):
+    """The repetitions' worker processes are gone when run_experiment
+    returns, and when it raises an error a worker met (a learning rate of
+    1e300 overflows training)."""
+    run_experiment(tiny_config(tiny_scenario, repetitions=2))
+    assert multiprocessing.active_children() == []
+    diverging = numcore.TrainConfig(epochs=2, learning_rate=1e300)
+    with pytest.raises(numcore.NumericalError, match="non-finite parameters"):
+        run_experiment(tiny_config(tiny_scenario, repetitions=2, train=diverging))
+    assert multiprocessing.active_children() == []
 
 
 def test_run_experiment_is_deterministic(tiny_scenario, tmp_path):
@@ -144,6 +190,23 @@ def test_stages_csv_bytes_are_pinned(tmp_path):
         b"0,build_dataset,1.23457,300\n"
         b"0,train,0,240\n"
         b"1,defense,1.5e+07,0\n"
+    )
+
+
+def test_defense_rounds_csv_bytes_are_pinned(tmp_path):
+    """kept marks defense.kept_round: the lowest adversarial MSE, the earliest on ties."""
+    rounds = [
+        [RoundRecord(0, 0.25, 0.5, 240), RoundRecord(1, 0.125, 0.375, 480)],
+        [RoundRecord(0, 1.23456789e-4, 0.25, 240), RoundRecord(1, 0.5, 0.25, 480)],
+    ]
+    path = tmp_path / "defense_rounds.csv"
+    ExperimentResult(rows=[], rounds=rounds).rounds_to_csv(path)
+    assert path.read_bytes() == (
+        b"repetition,round,clean_mse,adv_mse,dataset_rows,kept\n"
+        b"0,0,0.25,0.5,240,0\n"
+        b"0,1,0.125,0.375,480,1\n"
+        b"1,0,0.000123456789,0.25,240,1\n"
+        b"1,1,0.5,0.25,480,0\n"
     )
 
 

@@ -201,8 +201,9 @@ def _run_repetition(cfg: ExperimentConfig, repetition: int):
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """All repetitions of SC1/SC2/SC3, each in a forked worker process, one per
     core usable at one BLAS thread (numcore._pass_threads), or all in this
-    process when that is one core or one repetition. Rows come back sorted by
-    (scenario, epsilon, repetition), stages and rounds in repetition order."""
+    process when that is one core or one repetition. A worker runs its
+    blocked passes on one thread. Rows come back sorted by (scenario,
+    epsilon, repetition), stages and rounds in repetition order."""
     run, reps = partial(_run_repetition, cfg), range(cfg.repetitions)
     if (workers := min(cfg.repetitions, numcore._pass_threads())) == 1:
         outcomes = list(map(run, reps))
@@ -211,7 +212,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         from concurrent.futures import ProcessPoolExecutor
 
         fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+        init = numcore.enter_pool_worker
+        with ProcessPoolExecutor(workers, mp_context=fork, initializer=init) as pool:
             outcomes = list(pool.map(run, reps))
     rep_rows, rep_stages, rounds = zip(*outcomes)
     rows = sorted(sum(rep_rows, []), key=lambda r: (r.scenario_id, r.epsilon, r.repetition))

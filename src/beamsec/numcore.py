@@ -1,9 +1,10 @@
 """Dense MLP regressor with hand-rolled reverse-mode gradients and Adam.
 
-The network topology is feed-forward dense layers (ReLU hidden, tanh head)
-with inverted dropout after each hidden layer. Gradients are exact and are
-available with respect to both the parameters and the input vector, which is
-what the white-box attack code consumes.
+The network is one fixed architecture (ModelSpec): ReLU hidden layers, each
+followed by inverted dropout in train mode, and a tanh head, so a layer's
+nonlinearity follows from its position. Gradients are exact and are available
+with respect to both the parameters and the input vector, which is what the
+white-box attack code consumes.
 """
 
 from __future__ import annotations
@@ -19,15 +20,12 @@ import numpy as np
 from .config import dump
 from .framing import read_framed, write_framed
 
-RELU = "relu"
-TANH = "tanh"
-
 # Adam's moment decay rates and denominator offset (Kingma and Ba, arXiv:1412.6980).
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
-_MAGIC = b"BMMLP1"
+_MAGIC = b"BMMLP2"
 
 # predict and input_gradients run this many rows at a time: at width 100 a
 # block's buffers stay in L2 cache. With no block shorter than this (the last
@@ -48,67 +46,54 @@ class NumericalError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class LayerSpec:
-    """One dense layer: an affine map, its activation, then inverted dropout
-    at dropout_ratio in train mode. Also a checkpoint header's layer entry."""
-
-    in_dim: int
-    out_dim: int
-    activation: str
-    dropout_ratio: float
-
-    def __post_init__(self):
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise ValueError("layer widths must be at least 1")
-        if self.activation not in (RELU, TANH):
-            raise ValueError(f"unknown activation: {self.activation!r}")
-        if not 0.0 <= self.dropout_ratio < 1.0:
-            raise ValueError("dropout_ratio must lie in [0, 1)")
-
-
-@dataclass(frozen=True)
 class ModelSpec:
-    """The architecture of an MlpModel and the header of its checkpoint."""
+    """The architecture of an MlpModel and the header of its checkpoint:
+    dense layers of the widths `widths`, dropout_ratio on each hidden layer,
+    and the seed of the initial weights."""
 
     input_dim: int
+    hidden_dims: Tuple[int, ...]
+    dropout_ratio: float
     seed: int
-    layers: Tuple[LayerSpec, ...]
 
     def __post_init__(self):
-        if not self.layers:
-            raise ValueError("model needs at least one layer")
-        if self.layers[0].in_dim != self.input_dim:
-            raise ValueError("first layer width must match input_dim")
-        for prev, nxt in zip(self.layers, self.layers[1:]):
-            if nxt.in_dim != prev.out_dim:
-                raise ValueError("layer dimensions do not chain")
+        if min(self.widths) < 1:
+            raise ValueError("layer widths must be at least 1")
+        if not 0.0 <= self.dropout_ratio < 1.0:
+            raise ValueError("dropout_ratio must lie in [0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+
+    @property
+    def widths(self) -> Tuple[int, ...]:
+        """The input width, each hidden width, then the head's width 1."""
+        return (self.input_dim, *self.hidden_dims, 1)
 
     @property
     def size(self) -> int:
         """Length of the parameter vector: every layer's weights and bias."""
-        return sum(l.out_dim * (l.in_dim + 1) for l in self.layers)
+        w = self.widths
+        return sum(out_dim * (in_dim + 1) for in_dim, out_dim in zip(w, w[1:]))
 
 
 class Layer(NamedTuple):
-    """A layer's spec and views of its weights (out_dim, in_dim) and bias
-    (out_dim,) in the model's parameter vector."""
+    """Views of a layer's weights (out_dim, in_dim) and bias (out_dim,) in
+    the model's parameter vector."""
 
-    spec: LayerSpec
     weights: np.ndarray
     bias: np.ndarray
 
 
 class MlpModel:
     """A ModelSpec and one float64 parameter vector (a copy of `params`);
-    `layers` pairs each LayerSpec with its views into that vector."""
+    `layers` holds each layer's views into that vector, the head last."""
 
     def __init__(self, spec: ModelSpec, params):
         self.spec = spec
         self.params = np.array(params, dtype=np.float64)
         if self.params.shape != (spec.size,):
             raise ValueError(f"parameter vector must have shape ({spec.size},)")
-        views = _layer_views(spec, self.params)
-        self.layers = tuple(Layer(l, w, b) for l, (w, b) in zip(spec.layers, views))
+        self.layers = tuple(Layer(w, b) for w, b in _layer_views(spec, self.params))
 
 
 @dataclass(frozen=True)
@@ -142,25 +127,13 @@ def init_model(
     hidden_dims: Sequence[int] = (100, 100, 100),
     dropout_ratio: float = 0.25,
 ) -> MlpModel:
-    """Build a fresh model: ReLU hidden stack, tanh head, uniform ±1/sqrt(fan_in) weights."""
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
-    dims = [int(input_dim), *[int(h) for h in hidden_dims], 1]
-    last = len(dims) - 2
-    layers = tuple(
-        LayerSpec(
-            dims[i],
-            dims[i + 1],
-            TANH if i == last else RELU,
-            0.0 if i == last else float(dropout_ratio),
-        )
-        for i in range(len(dims) - 1)
-    )
-    spec = ModelSpec(dims[0], int(seed), layers)
+    """Build a fresh model: uniform ±1/sqrt(fan_in) weights, zero biases."""
+    hidden = tuple(int(h) for h in hidden_dims)
+    spec = ModelSpec(int(input_dim), hidden, float(dropout_ratio), int(seed))
     model = MlpModel(spec, np.zeros(spec.size))
     rng = np.random.default_rng(seed)
-    for layer in model.layers:
-        bound = 1.0 / np.sqrt(layer.spec.in_dim)
+    for fan_in, layer in zip(spec.widths, model.layers):
+        bound = 1.0 / np.sqrt(fan_in)
         layer.weights[...] = rng.uniform(-bound, bound, size=layer.weights.shape)
     return model
 
@@ -173,25 +146,24 @@ def copy_model(model: MlpModel) -> MlpModel:
 class _Workspace:
     """Buffers for the passes of one call over batches of at most `rows` rows.
 
-    The forward pass writes each layer's activation, and in train mode its
-    dropout mask and dropped output, into buffers of its own; `caches` holds
-    each layer's (input, activation, mask) views from the last forward pass.
-    With `backward`, one more buffer, sized to the widest layer, holds the
-    backward pass's delta; that pass also overwrites each activation with
-    its layer's derivative. Every buffer is allocated here, so a workspace
-    made in one thread and used in another puts nothing on the second
-    thread's heap.
+    The forward pass writes each layer's activation, and in train mode each
+    hidden layer's dropout mask and dropped output, into buffers of its own;
+    `caches` holds each layer's (input, activation, mask) views from the last
+    forward pass. With `backward`, one more buffer, sized to the widest
+    layer, holds the backward pass's delta; that pass also overwrites each
+    activation with its layer's derivative. Every buffer is allocated here,
+    so a workspace made in one thread and used in another puts nothing on
+    the second thread's heap.
     """
 
     def __init__(self, model, rows, train, backward):
-        layers = model.spec.layers
-        width = max(model.spec.input_dim, *(l.out_dim for l in layers))
-        self.act = [np.empty((rows, l.out_dim)) for l in layers]
-        dropout = [train and l.dropout_ratio > 0.0 for l in layers]
-        self.mask = [np.empty(a.shape) if d else None for a, d in zip(self.act, dropout)]
-        self.dropped = [np.empty(a.shape) if d else None for a, d in zip(self.act, dropout)]
+        widths = model.spec.widths
+        self.act = [np.empty((rows, w)) for w in widths[1:]]
+        dropout = train and model.spec.dropout_ratio > 0.0
+        self.mask = [np.empty(a.shape) if dropout else None for a in self.act[:-1]] + [None]
+        self.dropped = [None if m is None else np.empty(m.shape) for m in self.mask]
         self.caches = []
-        self.delta = np.empty(rows * width) if backward else None
+        self.delta = np.empty(rows * max(widths)) if backward else None
 
     def delta_view(self, rows, width):
         """The delta buffer as a (rows, width) array."""
@@ -201,28 +173,30 @@ class _Workspace:
 def _forward_batch(model, X, rng=None, ws=None):
     """Run the stack on a (B, input_dim) batch; returns (preds (B,), ws).
 
-    With an rng the pass is in train mode and draws dropout masks from it;
-    without one it is the inference pass. Every layer writes into the
-    buffers of `ws` (a fresh workspace, backward buffer included, when
-    None), which then holds the caches of the backward pass. preds is a
-    view into it, which the backward pass clobbers: read it first.
+    With an rng the pass is in train mode and draws the hidden layers'
+    dropout masks from it; without one it is the inference pass. Every
+    layer writes into the buffers of `ws` (a fresh workspace, backward
+    buffer included, when None), which then holds the caches of the backward
+    pass. preds is a view into it, which the backward pass clobbers: read
+    it first.
     """
     rows = X.shape[0]
     if ws is None:
         ws = _Workspace(model, rows, train=rng is not None, backward=True)
     out = X
     ws.caches = []
-    for (spec, weights, bias), act, mask, dropped in zip(
-        model.layers, ws.act, ws.mask, ws.dropped
+    keep = 1.0 - model.spec.dropout_ratio
+    head = len(model.layers) - 1
+    for idx, ((weights, bias), act, mask, dropped) in enumerate(
+        zip(model.layers, ws.act, ws.mask, ws.dropped)
     ):
         act = np.matmul(out, weights.T, out=act[:rows])
         act += bias
-        if spec.activation == RELU:
+        if idx < head:
             np.maximum(act, 0.0, out=act)
         else:
             np.tanh(act, out=act)
-        if rng is not None and spec.dropout_ratio > 0.0:
-            keep = 1.0 - spec.dropout_ratio
+        if rng is not None and mask is not None:
             # inverted dropout: scale at train time so inference needs no rescale
             mask = rng.random(out=mask[:rows])
             np.less(mask, keep, out=mask)
@@ -246,18 +220,19 @@ def _backward_batch(model, ws, dout, grads=None, need_input_grads=False):
     activation, which is dead once the activation's derivative is formed,
     and the dropout mask multiplies delta in the delta buffer. So the pass
     needs that one buffer beyond the forward pass's, and it destroys the
-    caches. It forms derivative·(delta·mask) where (delta·mask)·derivative
-    was formed before: a floating-point product commutes exactly, so the
-    bits are the same.
+    caches. It forms derivative·(delta·mask), which has the bits of
+    (delta·mask)·derivative, as a floating-point product commutes exactly.
     """
     rows = dout.shape[0]
     delta = dout[:, None]
-    for idx in range(len(model.layers) - 1, -1, -1):
-        spec, weights, _ = model.layers[idx]
+    head = len(model.layers) - 1
+    for idx in range(head, -1, -1):
+        weights = model.layers[idx].weights
+        out_dim, in_dim = weights.shape
         inp, dpre, mask = ws.caches[idx]
         if mask is not None:
-            delta = np.multiply(delta, mask, out=ws.delta_view(rows, spec.out_dim))
-        if spec.activation == RELU:
+            delta = np.multiply(delta, mask, out=ws.delta_view(rows, out_dim))
+        if idx < head:
             np.greater(dpre, 0.0, out=dpre)  # act > 0 exactly where pre > 0
         else:
             np.multiply(dpre, dpre, out=dpre)
@@ -268,7 +243,7 @@ def _backward_batch(model, ws, dout, grads=None, need_input_grads=False):
             np.matmul(dpre.T, inp, out=dw)
             np.sum(dpre, axis=0, out=db)
         if idx > 0 or need_input_grads:
-            delta = np.matmul(dpre, weights, out=ws.delta_view(rows, spec.in_dim))
+            delta = np.matmul(dpre, weights, out=ws.delta_view(rows, in_dim))
     return delta if need_input_grads else None
 
 
@@ -292,10 +267,20 @@ def _set_blas_threads():
 
 BLAS_THREADS = _set_blas_threads()  # set once, as this module loads
 
+_pool_worker = False  # set by enter_pool_worker
+
+
+def enter_pool_worker():
+    """Run this process's blocked passes on one thread: a process pool's
+    workers call this as they start, as they already keep the cores busy."""
+    global _pool_worker
+    _pool_worker = True
+
 
 def _pass_threads():
-    """Threads a blocked pass may run on: the usable cores at one BLAS thread, else 1."""
-    if BLAS_THREADS != 1 or not hasattr(os, "sched_getaffinity"):
+    """Threads a blocked pass may run on: the usable cores at one BLAS thread
+    outside a pool worker, else 1."""
+    if _pool_worker or BLAS_THREADS != 1 or not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
 
@@ -322,10 +307,8 @@ def _blocks(model, n, backward, work):
     threads = max(1, min(count if backward else count // 2, _pass_threads()))
     bounds = [count * i // threads for i in range(threads + 1)]
     runs = [blocks[a:b] for a, b in zip(bounds, bounds[1:])]
-    workspaces = [
-        _Workspace(model, run[-1].stop - run[-1].start, train=False, backward=backward)
-        for run in runs
-    ]
+    largest = [run[-1].stop - run[-1].start for run in runs]
+    workspaces = [_Workspace(model, rows, train=False, backward=backward) for rows in largest]
 
     errors = []
 
@@ -397,13 +380,11 @@ def input_gradients(model: MlpModel, X, y) -> np.ndarray:
 def _layer_views(spec: ModelSpec, flat):
     """Per-layer (weights, bias) views of a flat vector of length spec.size:
     each layer's weights, row-major (out_dim, in_dim), then its bias."""
-    views, at = [], 0
-    for layer in spec.layers:
-        end = at + layer.out_dim * layer.in_dim
-        views.append(
-            (flat[at:end].reshape(layer.out_dim, layer.in_dim), flat[end : end + layer.out_dim])
-        )
-        at = end + layer.out_dim
+    views, at, w = [], 0, spec.widths
+    for in_dim, out_dim in zip(w, w[1:]):
+        end = at + out_dim * in_dim
+        views.append((flat[at:end].reshape(out_dim, in_dim), flat[end : end + out_dim]))
+        at = end + out_dim
     return views
 
 
@@ -489,11 +470,8 @@ def train(model: MlpModel, data, cfg: TrainConfig, rng) -> Tuple[MlpModel, List[
             t += 1
             adam_step(params, grad, state, cfg, t)
             if not np.isfinite(params).all():
-                bad = next(
-                    i for i, l in enumerate(model.layers)
-                    if not (np.isfinite(l.weights).all() and np.isfinite(l.bias).all())
-                )
-                raise NumericalError(f"non-finite parameters in layer {bad}")
+                finite = [np.isfinite(w).all() and np.isfinite(b).all() for w, b in model.layers]
+                raise NumericalError(f"non-finite parameters in layer {finite.index(False)}")
         history.append(float(np.mean(losses)))
     return model, history
 
@@ -506,17 +484,14 @@ def fit(data, cfg: TrainConfig, rng) -> Tuple[MlpModel, List[float]]:
 
 
 def save_model(model: MlpModel, path) -> None:
-    """Framed checkpoint (BMMLP1): the ModelSpec as JSON header, then the
+    """Framed checkpoint (BMMLP2): the ModelSpec as JSON header, then the
     parameter vector."""
     write_framed(path, _MAGIC, dump(model.spec), [model.params])
 
 
 def load_model(path) -> MlpModel:
-    """Read a checkpoint; a malformed one raises framing.FormatError.
-
-    The header must have exactly the fields of ModelSpec, and each layer
-    entry those of LayerSpec, typed by config.load in read_framed.
-    """
+    """Read a checkpoint; a malformed one raises framing.FormatError. The
+    header must have exactly the fields of ModelSpec (see read_framed)."""
 
     def decode(spec, take):
         return MlpModel(spec, take((spec.size,)))

@@ -321,16 +321,18 @@ def reference_dataset_to_csv(ds, path) -> None:
 
 
 def _reference_forward(model, X, rng=None):
-    """The stack on a batch, allocating every intermediate; dropout masks are
-    drawn from rng exactly as numcore draws them in train mode."""
+    """The stack on a batch, allocating every intermediate: ReLU hidden
+    layers and a tanh head. Each hidden layer's dropout mask is drawn from
+    rng exactly as numcore draws it in train mode."""
     out = X
     caches = []
-    for layer in model.layers:
+    head = len(model.layers) - 1
+    for idx, layer in enumerate(model.layers):
         pre = out @ layer.weights.T + layer.bias
-        act = np.maximum(pre, 0.0) if layer.spec.activation == numcore.RELU else np.tanh(pre)
+        act = np.maximum(pre, 0.0) if idx < head else np.tanh(pre)
         mask = None
-        if rng is not None and layer.spec.dropout_ratio > 0.0:
-            keep = 1.0 - layer.spec.dropout_ratio
+        if rng is not None and idx < head and model.spec.dropout_ratio > 0.0:
+            keep = 1.0 - model.spec.dropout_ratio
             mask = (rng.random(act.shape) < keep) / keep
         caches.append((out, pre, act, mask))
         out = act if mask is None else act * mask
@@ -340,12 +342,13 @@ def _reference_forward(model, X, rng=None):
 def _reference_backward(model, caches, dout):
     """Per-layer (dW, db) of the loss whose gradient wrt the predictions is dout."""
     delta = dout[:, None]
+    head = len(model.layers) - 1
     grads = [None] * len(model.layers)
-    for idx in range(len(model.layers) - 1, -1, -1):
+    for idx in range(head, -1, -1):
         inp, pre, act, mask = caches[idx]
         if mask is not None:
             delta = delta * mask
-        if model.layers[idx].spec.activation == numcore.RELU:
+        if idx < head:
             dpre = delta * (pre > 0.0)
         else:
             dpre = delta * (1.0 - act * act)

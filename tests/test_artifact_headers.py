@@ -27,11 +27,7 @@ DATASET_HEADER = (
     '"y_min": -3.0}, "walls": [[-1.0, 3.0, 12.5, 3.0], [-1.0, -3.0, 12.5, -3.25]]}}'
 )
 
-CHECKPOINT_HEADER = (
-    '{"input_dim": 4, "layers": [{"activation": "relu", "dropout_ratio": 0.25, '
-    '"in_dim": 4, "out_dim": 3}, {"activation": "tanh", "dropout_ratio": 0.0, "in_dim": 3, '
-    '"out_dim": 1}], "seed": 0}'
-)
+CHECKPOINT_HEADER = '{"dropout_ratio": 0.25, "hidden_dims": [3], "input_dim": 4, "seed": 0}'
 
 MANIFEST_CONFIG = (
     '{"attack_grid": [0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09, 0.1], '
@@ -82,7 +78,7 @@ def test_dataset_header_text_is_pinned(tmp_path):
 def test_checkpoint_header_text_is_pinned(tmp_path):
     path = tmp_path / "model.bin"
     numcore.save_model(numcore.init_model(4, 0, hidden_dims=(3,)), path)
-    assert framed_header(path, b"BMMLP1") == CHECKPOINT_HEADER
+    assert framed_header(path, b"BMMLP2") == CHECKPOINT_HEADER
 
 
 def test_manifest_config_text_is_pinned(tmp_path):
@@ -98,7 +94,7 @@ def test_checkpoint_is_its_header_then_the_parameter_vector(tmp_path):
     path = tmp_path / "model.bin"
     numcore.save_model(model, path)
     head = CHECKPOINT_HEADER.encode("utf-8")
-    expected = b"BMMLP1" + struct.pack("<I", len(head)) + head
+    expected = b"BMMLP2" + struct.pack("<I", len(head)) + head
     assert path.read_bytes() == expected + model.params.astype("<f8").tobytes()
 
 

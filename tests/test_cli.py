@@ -341,8 +341,26 @@ def test_budgets_printed_alike_exit_2(runner, tmp_path, monkeypatch, eps):
 MODEL_HEADER_EDITS = {
     "model_input_dim_float": lambda h: h.update(input_dim=8.0),
     "model_seed_float": lambda h: h.update(seed=3.0),
-    "model_layer_extra_key": lambda h: h["layers"][0].update(junk=1),
-    "model_dropout_bool": lambda h: h["layers"][0].update(dropout_ratio=False),
+    "model_seed_negative": lambda h: h.update(seed=-5),
+    "model_extra_key": lambda h: h.update(junk=1),
+    "model_dropout_bool": lambda h: h.update(dropout_ratio=False),
+    "model_dropout_one": lambda h: h.update(dropout_ratio=1.0),
+    "model_hidden_width_zero": lambda h: h.update(hidden_dims=[100, 0, 100]),
+    "model_hidden_dims_float": lambda h: h.update(hidden_dims=[100.0, 100, 100]),
+}
+
+# The same network's checkpoint in the BMMLP1 format, which spelled out each
+# layer's widths, activation and dropout ratio.
+BMMLP1_HEADER = {
+    "input_dim": 8,
+    "layers": [
+        {"activation": a, "dropout_ratio": p, "in_dim": i, "out_dim": o}
+        for a, p, i, o in (
+            ("relu", 0.25, 8, 100), ("relu", 0.25, 100, 100),
+            ("relu", 0.25, 100, 100), ("tanh", 0.0, 100, 1),
+        )
+    ],
+    "seed": 0,
 }
 
 # Dataset headers that differ from save_dataset's by one field each.
@@ -372,6 +390,7 @@ DATASET_HEADER_EDITS = {
         "dataset_plus_8_bytes",
         "model_as_data",
         "dataset_as_model",
+        "model_bmmlp1",
         *MODEL_HEADER_EDITS,
         *DATASET_HEADER_EDITS,
     ],
@@ -388,7 +407,10 @@ def test_malformed_artifact_exits_3(runner, tmp_path, case):
     if case in MODEL_HEADER_EDITS:
         header = config.dump(net.spec)
         MODEL_HEADER_EDITS[case](header)
-        write_framed(bad, b"BMMLP1", header, [net.params])
+        write_framed(bad, b"BMMLP2", header, [net.params])
+        argv = attack_with(bad)
+    elif case == "model_bmmlp1":
+        write_framed(bad, b"BMMLP1", BMMLP1_HEADER, [net.params])
         argv = attack_with(bad)
     elif case in DATASET_HEADER_EDITS:
         blob = data.read_bytes()
@@ -410,6 +432,8 @@ def test_malformed_artifact_exits_3(runner, tmp_path, case):
     result = runner.invoke(cli.main, argv)
     assert result.exit_code == 3, result.output
     assert re.search(r"format error: .*(bad|data|model)\.bin", result.output)
+    if case == "model_bmmlp1":
+        assert "bad magic" in result.output
 
 
 @pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])

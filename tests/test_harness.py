@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ from typing import List
 import numpy as np
 import pytest
 
-from beamsec import config, numcore
+from beamsec import config, harness, numcore
 from beamsec.attack import AttackConfig, attack_dataset
 from beamsec.channel import UserGrid, build_dataset, split_dataset
 from beamsec.defense import DefenseConfig, RoundRecord, adversarial_train
@@ -167,6 +168,22 @@ def test_run_experiment_leaves_no_worker_running(tiny_scenario):
     with pytest.raises(numcore.NumericalError, match="non-finite parameters"):
         run_experiment(tiny_config(tiny_scenario, repetitions=2, train=diverging))
     assert multiprocessing.active_children() == []
+
+
+def _pass_threads_of_repetition(cfg, repetition):
+    """Stands in for a repetition: reports the blocked passes' thread count."""
+    return [], [], numcore._pass_threads()
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the pool needs two usable cores")
+def test_pool_workers_run_blocked_passes_on_one_thread(tiny_scenario, monkeypatch):
+    """The pool's workers keep the cores busy, so each runs its blocked
+    passes on one thread; the calling process, where `beamsec attack` and
+    the attack grid run, keeps every usable core."""
+    monkeypatch.setattr(harness, "_run_repetition", _pass_threads_of_repetition)
+    result = run_experiment(tiny_config(tiny_scenario, repetitions=2))
+    assert result.rounds == [1, 1]
+    assert numcore._pass_threads() == len(os.sched_getaffinity(0))
 
 
 def test_run_experiment_is_deterministic(tiny_scenario, tmp_path):

@@ -13,7 +13,7 @@ import pytest
 
 import oracles
 from beamsec import numcore
-from beamsec.numcore import LayerSpec, MlpModel, ModelSpec, TrainConfig
+from beamsec.numcore import MlpModel, ModelSpec, TrainConfig
 from conftest import row_gradients
 
 
@@ -54,14 +54,14 @@ def test_init_layer_dimensions():
     model = numcore.init_model(16, 3)
     shapes = [l.weights.shape for l in model.layers]
     assert shapes == [(100, 16), (100, 100), (100, 100), (1, 100)]
-    assert [l.spec.activation for l in model.layers] == ["relu", "relu", "relu", "tanh"]
-    assert [l.spec.dropout_ratio for l in model.layers] == [0.25, 0.25, 0.25, 0.0]
+    assert model.spec == ModelSpec(16, (100, 100, 100), 0.25, 3)
+    assert model.spec.widths == (16, 100, 100, 100, 1)
 
 
 def test_init_weight_range_and_zero_bias():
     model = numcore.init_model(9, 11)
-    for layer in model.layers:
-        bound = 1.0 / math.sqrt(layer.spec.in_dim)
+    for fan_in, layer in zip(model.spec.widths, model.layers):
+        bound = 1.0 / math.sqrt(fan_in)
         assert np.all(np.abs(layer.weights) <= bound)
         assert np.all(layer.bias == 0.0)
 
@@ -75,17 +75,11 @@ def test_init_rejects_bad_dims():
         numcore.init_model(4, 1, hidden_dims=(0,))
 
 
-def test_model_dimension_chain_enforced():
-    good = LayerSpec(2, 3, "relu", 0.0)
-    bad = LayerSpec(4, 1, "tanh", 0.0)
-    with pytest.raises(ValueError):
-        ModelSpec(input_dim=2, seed=0, layers=(good, bad))
-
-
 def test_model_is_its_spec_and_one_parameter_vector():
     """MlpModel copies the vector it is given, checks its length, and each
     layer's weights and bias view that copy in layer order."""
-    spec = ModelSpec(2, 0, (LayerSpec(2, 3, "relu", 0.0), LayerSpec(3, 1, "tanh", 0.0)))
+    spec = ModelSpec(2, (3,), 0.0, 0)
+    assert spec.widths == (2, 3, 1)
     assert spec.size == 3 * 2 + 3 + 1 * 3 + 1
     params = np.arange(spec.size, dtype=np.float64)
     model = MlpModel(spec, params)
@@ -99,14 +93,22 @@ def test_model_is_its_spec_and_one_parameter_vector():
     assert head.bias[0] == 5.0
     with pytest.raises(ValueError):
         MlpModel(spec, np.zeros(spec.size + 1))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (0, (3,), 0.0, 0),
+        (2, (3, 0), 0.0, 0),
+        (2, (3,), 1.0, 0),
+        (2, (3,), -0.1, 0),
+        (2, (3,), 0.0, -5),
+    ],
+    ids=["input_width_0", "hidden_width_0", "dropout_1", "dropout_negative", "seed_negative"],
+)
+def test_model_spec_rejects_bad_architecture(args):
     with pytest.raises(ValueError):
-        LayerSpec(2, 0, "relu", 0.0)
-    with pytest.raises(ValueError):
-        LayerSpec(2, 3, "sigmoid", 0.0)
-    with pytest.raises(ValueError):
-        LayerSpec(2, 3, "relu", 1.0)
-    with pytest.raises(ValueError):
-        ModelSpec(2, 0, ())
+        ModelSpec(*args)
 
 
 # ------------------------------------------------------------------- forward
@@ -120,13 +122,13 @@ def test_forward_zero_weights_gives_zero():
 
 
 def test_forward_single_tanh_layer_closed_form():
-    model = MlpModel(ModelSpec(1, 0, (LayerSpec(1, 1, "tanh", 0.0),)), [2.0, 0.0])
+    model = MlpModel(ModelSpec(1, (), 0.0, 0), [2.0, 0.0])
     assert numcore.predict(model, [[0.5]])[0] == pytest.approx(math.tanh(1.0), abs=1e-12)
 
 
 def test_forward_relu_kills_negative_units():
     # one hidden unit fires, one is clamped; only the first reaches the head
-    spec = ModelSpec(1, 0, (LayerSpec(1, 2, "relu", 0.0), LayerSpec(2, 1, "tanh", 0.0)))
+    spec = ModelSpec(1, (2,), 0.0, 0)
     # hidden weights [[1], [-1]] and zero bias, head weights [[1, 1]] and zero bias
     model = MlpModel(spec, [1.0, -1.0, 0.0, 0.0, 1.0, 1.0, 0.0])
     assert numcore.predict(model, [[0.3]])[0] == pytest.approx(math.tanh(0.3), abs=1e-12)

@@ -63,6 +63,8 @@ def main():
 @_guarded
 def generate(config, seed, instances, out, csv_path):
     """Simulate a dataset and write it as a binary dataset file."""
+    if csv_path and Path(csv_path).resolve() == Path(out).resolve():
+        raise ConfigError(f"--csv and --out name the same file: {out}")
     cfg = load_config(config)
     params = cfg.scenario if seed is None else replace(cfg.scenario, seed=seed)
     count = instances if instances is not None else cfg.num_instances
@@ -120,6 +122,8 @@ def attack(model_path, data, eps, out):
 @_guarded
 def defend(config, data, seed, out, history_path):
     """Adversarially train a predictor and save the robust checkpoint."""
+    if history_path and Path(history_path).resolve() == Path(out).resolve():
+        raise ConfigError(f"--history and --out name the same file: {out}")
     cfg = load_config(config)
     ds = load_dataset(data)
     rng = np.random.default_rng(seed)
@@ -127,7 +131,7 @@ def defend(config, data, seed, out, history_path):
     model, history = adversarial_train(model, ds, cfg.train, cfg.defense, rng)
     numcore.save_model(model, out)
     if history_path:
-        harness.round_history_to_csv(history, history_path)
+        harness.rounds_to_csv([history], history_path)
     kept = kept_round(history)
     click.echo(
         f"{len(history)} rounds; kept round {kept.round_index}: clean MSE "
@@ -155,13 +159,13 @@ def run(config, seed, reps, eps, out, fmt):
             raise ConfigError(f"--eps must be a comma-separated float list, got {eps!r}")
     flags = {"repetitions": reps, "attack_grid": eps, "output_dir": out}
     cfg = replace(cfg, **{name: v for name, v in flags.items() if v is not None})
-    result = harness.run_experiment(cfg)
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)  # before the sweep, so a bad --out fails first
+    result = harness.run_experiment(cfg)
     result.to_csv(out_dir / "results.csv")
     harness.write_manifest(cfg, out_dir / "manifest.json")
     result.stages_to_csv(out_dir / "stages.csv")
-    result.rounds_to_csv(out_dir / "defense_rounds.csv")
+    harness.rounds_to_csv(result.rounds, out_dir / "defense_rounds.csv")
     summary = harness.summarize(result)
     written = harness.emit_report(summary, out_dir, fmt)
     files = ("results.csv", "manifest.json", "stages.csv", "defense_rounds.csv")

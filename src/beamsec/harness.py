@@ -40,8 +40,7 @@ RESULTS_HEADER = "scenario,epsilon,repetition,mse"
 SUMMARY_HEADER = "scenario,epsilon,mean_mse,std_mse,min_mse,max_mse,n"
 RATIOS_HEADER = "scenario,epsilon,mse_ratio_vs_clean"
 STAGES_HEADER = "repetition,stage,seconds,rows"
-ROUNDS_HEADER = "round,clean_mse,adv_mse,dataset_rows"
-DEFENSE_ROUNDS_HEADER = f"repetition,{ROUNDS_HEADER},kept"
+ROUNDS_HEADER = "repetition,round,clean_mse,adv_mse,dataset_rows,kept"
 
 _SEED_SALT = 0xB5EC  # keeps harness child streams apart from dataset streams
 
@@ -78,6 +77,8 @@ class ExperimentConfig:
             raise ValueError("attack_grid budgets must differ at 6 significant digits")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
+        if self.num_instances < 1:
+            raise ValueError("num_instances must be at least 1")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie in (0, 1)")
         if not 1 <= int(round(self.train_fraction * self.num_instances)) < self.num_instances:
@@ -108,12 +109,6 @@ class ExperimentResult:
     def stages_to_csv(self, path) -> None:
         lines = (f"{rep},{stage},{seconds:.6g},{rows}" for rep, stage, seconds, rows in self.stages)
         _write_table(path, STAGES_HEADER, lines)
-
-    def rounds_to_csv(self, path) -> None:
-        """Each repetition's defense rounds; kept marks the one SC3 attacks (defense.kept_round)."""
-        rounds = ((rep, r, kept_round(h)) for rep, h in enumerate(self.rounds) for r in h)
-        lines = (f"{rep},{_round_cells(r)},{int(r is kept)}" for rep, r, kept in rounds)
-        _write_table(path, DEFENSE_ROUNDS_HEADER, lines)
 
     @staticmethod
     def from_csv(path) -> "ExperimentResult":
@@ -306,13 +301,16 @@ def emit_report(rows: Sequence[SummaryRow], out_dir, fmt: str = "csv") -> List[P
     return [path]
 
 
-def _round_cells(r: RoundRecord) -> str:
-    return f"{r.round_index},{r.clean_mse:.12g},{r.adv_mse:.12g},{r.dataset_rows}"
-
-
-def round_history_to_csv(history: Sequence[RoundRecord], path) -> None:
-    """adversarial_train's history, one line per round."""
-    _write_table(path, ROUNDS_HEADER, map(_round_cells, history))
+def rounds_to_csv(histories: Sequence[Sequence[RoundRecord]], path) -> None:
+    """Each repetition's adversarial_train history, one line per round; kept
+    marks the round whose model the defense returns (defense.kept_round)."""
+    rounds = ((rep, r, kept_round(h)) for rep, h in enumerate(histories) for r in h)
+    lines = (
+        f"{rep},{r.round_index},{r.clean_mse:.12g},{r.adv_mse:.12g},{r.dataset_rows},"
+        f"{int(r is kept)}"
+        for rep, r, kept in rounds
+    )
+    _write_table(path, ROUNDS_HEADER, lines)
 
 
 def write_manifest(cfg: ExperimentConfig, path) -> None:

@@ -147,13 +147,14 @@ class _Workspace:
     """Buffers for the passes of one call over batches of at most `rows` rows.
 
     The forward pass writes each layer's activation, and in train mode each
-    hidden layer's dropout mask and dropped output, into buffers of its own;
-    `caches` holds each layer's (input, activation, mask) views from the last
-    forward pass. With `backward`, one more buffer, sized to the widest
-    layer, holds the backward pass's delta; that pass also overwrites each
-    activation with its layer's derivative. Every buffer is allocated here,
-    so a workspace made in one thread and used in another puts nothing on
-    the second thread's heap.
+    hidden layer's dropout mask, into buffers of its own, and drops a hidden
+    layer's units in its activation buffer; `caches` holds each layer's
+    (input, activation, mask) views from the last forward pass. With
+    `backward`, one more buffer, sized to the widest layer, holds the
+    backward pass's delta; that pass also overwrites each activation with
+    its layer's derivative. Every buffer is allocated here, so a workspace
+    made in one thread and used in another puts nothing on the second
+    thread's heap.
     """
 
     def __init__(self, model, rows, train, backward):
@@ -161,7 +162,6 @@ class _Workspace:
         self.act = [np.empty((rows, w)) for w in widths[1:]]
         dropout = train and model.spec.dropout_ratio > 0.0
         self.mask = [np.empty(a.shape) if dropout else None for a in self.act[:-1]] + [None]
-        self.dropped = [None if m is None else np.empty(m.shape) for m in self.mask]
         self.caches = []
         self.delta = np.empty(rows * max(widths)) if backward else None
 
@@ -170,26 +170,21 @@ class _Workspace:
         return self.delta[: rows * width].reshape(rows, width)
 
 
-def _forward_batch(model, X, rng=None, ws=None):
-    """Run the stack on a (B, input_dim) batch; returns (preds (B,), ws).
+def _forward_batch(model, X, ws, rng=None):
+    """Run the stack on a (B, input_dim) batch through the buffers of
+    workspace `ws`, which then holds the caches of the backward pass;
+    returns preds (B,).
 
     With an rng the pass is in train mode and draws the hidden layers'
-    dropout masks from it; without one it is the inference pass. Every
-    layer writes into the buffers of `ws` (a fresh workspace, backward
-    buffer included, when None), which then holds the caches of the backward
-    pass. preds is a view into it, which the backward pass clobbers: read
-    it first.
+    dropout masks from it; without one it is the inference pass. preds is a
+    view into `ws`, which the backward pass clobbers: read it first.
     """
     rows = X.shape[0]
-    if ws is None:
-        ws = _Workspace(model, rows, train=rng is not None, backward=True)
     out = X
     ws.caches = []
     keep = 1.0 - model.spec.dropout_ratio
     head = len(model.layers) - 1
-    for idx, ((weights, bias), act, mask, dropped) in enumerate(
-        zip(model.layers, ws.act, ws.mask, ws.dropped)
-    ):
+    for idx, ((weights, bias), act, mask) in enumerate(zip(model.layers, ws.act, ws.mask)):
         act = np.matmul(out, weights.T, out=act[:rows])
         act += bias
         if idx < head:
@@ -201,13 +196,12 @@ def _forward_batch(model, X, rng=None, ws=None):
             mask = rng.random(out=mask[:rows])
             np.less(mask, keep, out=mask)
             mask /= keep
-            dropped = np.multiply(act, mask, out=dropped[:rows])
+            act *= mask
         else:
             mask = None
-            dropped = act
         ws.caches.append((out, act, mask))
-        out = dropped
-    return out[:, 0], ws
+        out = act
+    return out[:, 0]
 
 
 def _backward_batch(model, ws, dout, grads=None, need_input_grads=False):
@@ -220,8 +214,9 @@ def _backward_batch(model, ws, dout, grads=None, need_input_grads=False):
     activation, which is dead once the activation's derivative is formed,
     and the dropout mask multiplies delta in the delta buffer. So the pass
     needs that one buffer beyond the forward pass's, and it destroys the
-    caches. It forms derivative·(delta·mask), which has the bits of
-    (delta·mask)·derivative, as a floating-point product commutes exactly.
+    caches. A dropped ReLU activation act·mask is positive exactly where act
+    is and the mask is not, and where the mask is 0 so is delta·mask, so
+    (act·mask > 0)·(delta·mask) has the bits of (act > 0)·(delta·mask).
     """
     rows = dout.shape[0]
     delta = dout[:, None]
@@ -231,7 +226,7 @@ def _backward_batch(model, ws, dout, grads=None, need_input_grads=False):
         out_dim, in_dim = weights.shape
         inp, dpre, mask = ws.caches[idx]
         if mask is not None:
-            delta = np.multiply(delta, mask, out=ws.delta_view(rows, out_dim))
+            delta *= mask  # a hidden layer's delta is already in the delta buffer
         if idx < head:
             np.greater(dpre, 0.0, out=dpre)  # act > 0 exactly where pre > 0
         else:
@@ -340,7 +335,7 @@ def predict(model: MlpModel, X) -> np.ndarray:
     preds = np.empty(X.shape[0])
 
     def work(ws, rows):
-        preds[rows] = _forward_batch(model, X[rows], ws=ws)[0]
+        preds[rows] = _forward_batch(model, X[rows], ws)
 
     _blocks(model, X.shape[0], False, work)
     return preds
@@ -369,7 +364,7 @@ def input_gradients(model: MlpModel, X, y) -> np.ndarray:
     grads = np.empty(X.shape)
 
     def work(ws, rows):
-        preds, _ = _forward_batch(model, X[rows], ws=ws)
+        preds = _forward_batch(model, X[rows], ws)
         dout = 2.0 * (preds - y[rows])
         grads[rows] = _backward_batch(model, ws, dout, need_input_grads=True)
 
@@ -462,7 +457,7 @@ def train(model: MlpModel, data, cfg: TrainConfig, rng) -> Tuple[MlpModel, List[
             idx = order[start : start + cfg.batch_size]
             xb = np.take(X, idx, axis=0, out=xb_buf[: idx.size])
             yb = np.take(y, idx, out=yb_buf[: idx.size])
-            preds, _ = _forward_batch(model, xb, rng, ws)
+            preds = _forward_batch(model, xb, ws, rng)
             err = preds - yb
             losses.append(float(np.mean(err * err)))
             dout = 2.0 * err / idx.size

@@ -132,7 +132,8 @@ def load_results_csv(path):
 def row_gradients(model, x, y):
     """Gradients of (f(x) - y)^2 at one input row, without dropout, through the
     batched passes that train() runs: (per-layer (dW, db) list, input grad)."""
-    preds, ws = numcore._forward_batch(model, np.asarray(x, dtype=np.float64)[None, :])
+    ws = numcore._Workspace(model, 1, train=False, backward=True)
+    preds = numcore._forward_batch(model, np.asarray(x, dtype=np.float64)[None, :], ws)
     grads = [(np.empty_like(l.weights), np.empty_like(l.bias)) for l in model.layers]
     dx = numcore._backward_batch(model, ws, 2.0 * (preds - y), grads, need_input_grads=True)
     return grads, dx[0]

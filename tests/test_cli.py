@@ -77,7 +77,12 @@ def test_full_pipeline(runner, tmp_path, tiny_config_path):
     )
     assert result.exit_code == 0, result.output
     assert robust_path.exists()
-    assert hist_path.read_text().splitlines()[0] == "round,clean_mse,adv_mse,dataset_rows"
+    # run's round table, as repetition 0; the kept row is the round defend prints
+    header, *rounds = [line.split(",") for line in hist_path.read_text().splitlines()]
+    assert header == "repetition,round,clean_mse,adv_mse,dataset_rows,kept".split(",")
+    assert {r[0] for r in rounds} == {"0"}
+    kept = re.search(r"kept round (\d+):", result.output).group(1)
+    assert [r[1] for r in rounds if r[5] == "1"] == [kept]
 
     sweep_dir = tmp_path / "sweep"
     result = runner.invoke(cli.main, ["run", *cfg, "--out", str(sweep_dir)])
@@ -285,6 +290,31 @@ def test_negative_instances_exits_2(runner, tmp_path):
         ["generate", "--instances", "-5", "--out", str(tmp_path / "d.bin")],
     )
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args, builder, flag",
+    [
+        (["generate", "--out", "d.bin", "--csv"], "build_dataset", "--csv"),
+        (["defend", "--data", "d.bin", "--out", "m.bin", "--history"], "load_dataset", "--history"),
+    ],
+    ids=["generate_csv", "defend_history"],
+)
+def test_second_output_onto_out_exits_2(runner, tmp_path, monkeypatch, args, builder, flag):
+    """A second output file naming the --out file, here by another spelling
+    of its path, is refused before anything is read or built, so it cannot
+    overwrite the first."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{builder} called")
+
+    monkeypatch.setattr(cli, builder, no_work)
+    monkeypatch.chdir(tmp_path)
+    out = args[args.index("--out") + 1]
+    result = runner.invoke(cli.main, [*args, str(tmp_path / out)])
+    assert result.exit_code == 2, result.output
+    assert f"{flag} and --out name the same file" in result.output
+    assert not (tmp_path / out).exists()
 
 
 def test_grid_point_near_bs_exits_2(runner, tmp_path):
@@ -514,6 +544,21 @@ def test_missing_results_file_exits_3(runner, tmp_path):
         ["report", "--results", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "r")],
     )
     assert result.exit_code == 3
+    assert "i/o error" in result.output
+
+
+def test_run_into_an_unmakeable_out_exits_3_before_the_sweep(runner, tmp_path, monkeypatch):
+    """run makes its output directory before it runs a repetition: an --out
+    under a regular file fails at once."""
+
+    def no_sweep(cfg):
+        raise AssertionError("run_experiment called")
+
+    monkeypatch.setattr(harness, "run_experiment", no_sweep)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    result = runner.invoke(cli.main, ["run", "--reps", "1", "--out", str(blocker / "sub")])
+    assert result.exit_code == 3, result.output
     assert "i/o error" in result.output
 
 

@@ -17,7 +17,7 @@ from beamsec.defense import (
     adversarial_train,
     kept_round,
 )
-from beamsec.harness import round_history_to_csv
+from beamsec.harness import rounds_to_csv
 
 
 FAST = numcore.TrainConfig(epochs=2)
@@ -234,23 +234,25 @@ def test_round_history_csv(tmp_path, tiny_scenario):
         train_ds, FAST, DefenseConfig(epsilon=0.1, max_rounds=2), np.random.default_rng(4)
     )
     path = tmp_path / "rounds.csv"
-    round_history_to_csv(history, path)
+    rounds_to_csv([history], path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "round,clean_mse,adv_mse,dataset_rows"
+    assert lines[0] == "repetition,round,clean_mse,adv_mse,dataset_rows,kept"
     assert len(lines) == len(history) + 1
 
 
 def test_round_history_csv_bytes_are_pinned(tmp_path):
+    """`defend --history` writes one history as repetition 0; the MSEs print
+    at 12 significant digits and exactly one round is kept."""
     history = [
         RoundRecord(0, 0.00123456789012345, 0.1, 240),
         RoundRecord(1, 1e-20, 123456789012345.0, 480),
         RoundRecord(2, 0.0, 2.0 / 3.0, 720),
     ]
     path = tmp_path / "rounds.csv"
-    round_history_to_csv(history, path)
+    rounds_to_csv([history], path)
     assert path.read_bytes() == (
-        b"round,clean_mse,adv_mse,dataset_rows\n"
-        b"0,0.00123456789012,0.1,240\n"
-        b"1,1e-20,1.23456789012e+14,480\n"
-        b"2,0,0.666666666667,720\n"
+        b"repetition,round,clean_mse,adv_mse,dataset_rows,kept\n"
+        b"0,0,0.00123456789012,0.1,240,1\n"
+        b"0,1,1e-20,1.23456789012e+14,480,0\n"
+        b"0,2,0,0.666666666667,720,0\n"
     )

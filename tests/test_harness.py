@@ -217,7 +217,7 @@ def test_defense_rounds_csv_bytes_are_pinned(tmp_path):
         [RoundRecord(0, 1.23456789e-4, 0.25, 240), RoundRecord(1, 0.5, 0.25, 480)],
     ]
     path = tmp_path / "defense_rounds.csv"
-    ExperimentResult(rows=[], rounds=rounds).rounds_to_csv(path)
+    harness.rounds_to_csv(rounds, path)
     assert path.read_bytes() == (
         b"repetition,round,clean_mse,adv_mse,dataset_rows,kept\n"
         b"0,0,0.25,0.5,240,0\n"
@@ -656,6 +656,9 @@ def test_experiment_config_validation(tiny_scenario):
         tiny_config(tiny_scenario, train_fraction=1.0)
     with pytest.raises(ValueError):
         tiny_config(tiny_scenario, num_instances=1)
+    for count in (0, -5):
+        with pytest.raises(ValueError, match="num_instances must be at least 1"):
+            tiny_config(tiny_scenario, num_instances=count)
     # 0.9 x 3 rounds to 3 training rows, which leaves the test side empty
     with pytest.raises(ValueError, match="train_fraction of num_instances"):
         tiny_config(tiny_scenario, num_instances=3, train_fraction=0.9)

@@ -154,7 +154,8 @@ def test_forward_validates_input():
 def test_dropout_zero_train_equals_infer():
     model = numcore.init_model(6, 5, dropout_ratio=0.0)
     x = np.linspace(-1, 1, 6)[None, :]
-    train_pred, _ = numcore._forward_batch(model, x, np.random.default_rng(0))  # train mode
+    ws = numcore._Workspace(model, 1, train=True, backward=False)
+    train_pred = numcore._forward_batch(model, x, ws, np.random.default_rng(0))  # train mode
     assert train_pred[0] == numcore.predict(model, x)[0]
 
 
@@ -162,7 +163,10 @@ def test_dropout_masks_are_seed_deterministic():
     model = numcore.init_model(6, 5)
     x = np.linspace(-1, 1, 6)[None, :]
     a, b, c = (
-        numcore._forward_batch(model, x, np.random.default_rng(seed))[0][0]
+        numcore._forward_batch(
+            model, x, numcore._Workspace(model, 1, train=True, backward=False),
+            np.random.default_rng(seed),
+        )[0]
         for seed in (42, 42, 43)
     )
     assert a == b

@@ -114,18 +114,21 @@ class ExperimentResult:
     def from_csv(path) -> "ExperimentResult":
         """Read a results.csv; a malformed one, one with no rows, one that repeats a
         (scenario, epsilon, repetition), or a row run never writes (a scenario other
-        than SC1-SC3, a negative repetition or epsilon, -0 included, an SC1 row at a
-        nonzero epsilon, an SC2/SC3 row at epsilon 0, an epsilon that prints like another
-        at 6 significant digits) raises framing.FormatError naming the file and line."""
+        than SC1-SC3, a negative repetition, epsilon or MSE, -0 included, an SC1 row at
+        a nonzero epsilon, an SC2/SC3 row at epsilon 0, an epsilon that prints like
+        another at 6 significant digits) raises framing.FormatError naming the file and
+        line. A line that is not UTF-8 is malformed."""
         rows, lines, budgets = [], {}, {}
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != RESULTS_HEADER:
-                raise FormatError(f"{path}:1: expected header {RESULTS_HEADER!r}, got {header!r}")
-            for number, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
+        # an empty file reads as one empty header line
+        for number, line in enumerate(Path(path).read_bytes().splitlines() or [b""], start=1):
+            try:
+                line = line.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}:{number}: {exc}") from None
+            if number == 1:
+                if line != RESULTS_HEADER:
+                    raise FormatError(f"{path}:1: expected header {RESULTS_HEADER!r}, got {line!r}")
+            elif line:
                 fields = line.split(",")
                 if len(fields) != 4:
                     raise FormatError(f"{path}:{number}: expected 4 fields, got {len(fields)}")
@@ -140,6 +143,8 @@ class ExperimentResult:
                     raise FormatError(f"{path}:{number}: unknown scenario {sc!r}")
                 if row.repetition < 0 or math.copysign(1.0, row.epsilon) < 0:
                     raise FormatError(f"{path}:{number}: negative repetition or epsilon")
+                if math.copysign(1.0, row.mse) < 0:
+                    raise FormatError(f"{path}:{number}: negative MSE {mse}")
                 if (sc == SC1) != (row.epsilon == 0):
                     at = f"nonzero epsilon {eps}" if sc == SC1 else "epsilon 0, which is SC1's"
                     raise FormatError(f"{path}:{number}: {sc} row at {at}")
@@ -196,9 +201,10 @@ def _run_repetition(cfg: ExperimentConfig, repetition: int):
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """All repetitions of SC1/SC2/SC3, each in a forked worker process, one per
     core usable at one BLAS thread (numcore._pass_threads), or all in this
-    process when that is one core or one repetition. A worker runs its
-    blocked passes on one thread. Rows come back sorted by (scenario,
-    epsilon, repetition), stages and rounds in repetition order."""
+    process when that is one core or one repetition. A worker is a fork of
+    the process that loaded numcore, so it runs its blocked passes on one
+    thread. Rows come back sorted by (scenario, epsilon, repetition), stages
+    and rounds in repetition order."""
     run, reps = partial(_run_repetition, cfg), range(cfg.repetitions)
     if (workers := min(cfg.repetitions, numcore._pass_threads())) == 1:
         outcomes = list(map(run, reps))
@@ -206,9 +212,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        fork = multiprocessing.get_context("fork")
-        init = numcore.enter_pool_worker
-        with ProcessPoolExecutor(workers, mp_context=fork, initializer=init) as pool:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
             outcomes = list(pool.map(run, reps))
     rep_rows, rep_stages, rounds = zip(*outcomes)
     rows = sorted(sum(rep_rows, []), key=lambda r: (r.scenario_id, r.epsilon, r.repetition))
@@ -340,6 +344,6 @@ def load_config(path=None) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}")
     return config.load(ExperimentConfig, doc)

@@ -165,10 +165,6 @@ class _Workspace:
         self.caches = []
         self.delta = np.empty(rows * max(widths)) if backward else None
 
-    def delta_view(self, rows, width):
-        """The delta buffer as a (rows, width) array."""
-        return self.delta[: rows * width].reshape(rows, width)
-
 
 def _forward_batch(model, X, ws, rng=None):
     """Run the stack on a (B, input_dim) batch through the buffers of
@@ -238,7 +234,7 @@ def _backward_batch(model, ws, dout, grads=None, need_input_grads=False):
             np.matmul(dpre.T, inp, out=dw)
             np.sum(dpre, axis=0, out=db)
         if idx > 0 or need_input_grads:
-            delta = np.matmul(dpre, weights, out=ws.delta_view(rows, in_dim))
+            delta = np.matmul(dpre, weights, out=ws.delta[: rows * in_dim].reshape(rows, in_dim))
     return delta if need_input_grads else None
 
 
@@ -261,21 +257,15 @@ def _set_blas_threads():
 
 
 BLAS_THREADS = _set_blas_threads()  # set once, as this module loads
-
-_pool_worker = False  # set by enter_pool_worker
-
-
-def enter_pool_worker():
-    """Run this process's blocked passes on one thread: a process pool's
-    workers call this as they start, as they already keep the cores busy."""
-    global _pool_worker
-    _pool_worker = True
+_LOADED_IN = os.getpid()  # the process this module loaded in
 
 
 def _pass_threads():
     """Threads a blocked pass may run on: the usable cores at one BLAS thread
-    outside a pool worker, else 1."""
-    if _pool_worker or BLAS_THREADS != 1 or not hasattr(os, "sched_getaffinity"):
+    in the process this module loaded in, else 1. A process forked from that
+    one, as run_experiment's workers are, shares the cores with its siblings,
+    which already keep them busy."""
+    if os.getpid() != _LOADED_IN or BLAS_THREADS != 1 or not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
 

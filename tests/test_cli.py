@@ -264,6 +264,36 @@ def test_unknown_config_field_exits_2(runner, tmp_path):
     assert "config error" in result.output
 
 
+def test_undecodable_config_exits_2_as_invalid_json(runner, tmp_path):
+    """A config file that is not UTF-8 is reported as JSON that does not parse."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"repetitions": 3\xff}')
+    result = runner.invoke(
+        cli.main, ["generate", "--config", str(path), "--out", str(tmp_path / "d.bin")]
+    )
+    assert result.exit_code == 2
+    assert (
+        "config error: config is not valid JSON: 'utf-8' codec can't decode byte 0xff"
+        in result.output
+    )
+    assert not (tmp_path / "d.bin").exists()
+
+
+def test_importing_the_cli_loads_no_pool_or_csv_writer():
+    """`import beamsec.cli` loads neither the process pool's modules nor the
+    CSV writer: `run` imports the pool only when it forks workers, and
+    `generate --csv` the writer only when it exports, so every command's
+    setup stays free of them. numcore in particular learns whether it runs
+    in a forked worker without importing multiprocessing."""
+    lazy = ("multiprocessing", "concurrent.futures", "beamsec.csvtext")
+    code = f"import sys, beamsec.cli; print([m for m in {lazy!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=python_env(), capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_bad_eps_list_exits_2(runner, tmp_path):
     result = runner.invoke(
         cli.main, ["run", "--eps", "0.1,oops", "--out", str(tmp_path / "s")]
@@ -631,30 +661,33 @@ def test_run_results_do_not_depend_on_openblas_num_threads(tmp_path):
 @pytest.mark.parametrize(
     "line, message",
     [
-        ("SC1,0,0", r"results\.csv:3: expected 4 fields, got 3"),
-        ("SC1,0,1,nan", r"results\.csv:3: non-finite"),
-        ("SC1,0,1,0.5x", r"results\.csv:3: could not convert"),
-        ("SC1,0.0,0,0.02", r"results\.csv:3: duplicate of the row on line 2"),
-        ("SC1,0,-3,0.01", r"results\.csv:3: negative repetition or epsilon"),
-        ("SC2,-0.5,0,0.02", r"results\.csv:3: negative repetition or epsilon"),
-        ("SC1,0.3,1,0.01", r"results\.csv:3: SC1 row at nonzero epsilon"),
-        ("SC4,0.1,0,0.01", r"results\.csv:3: unknown scenario 'SC4'"),
-        ("sc1,0,0,0.01", r"results\.csv:3: unknown scenario 'sc1'"),
-        ("SC2,0,0,0.01", r"results\.csv:3: SC2 row at epsilon 0"),
-        ("SC1,-0,0,0.01", r"results\.csv:3: negative repetition or epsilon"),
+        (b"SC1,0,0", r"results\.csv:3: expected 4 fields, got 3"),
+        (b"SC1,0,1,nan", r"results\.csv:3: non-finite"),
+        (b"SC1,0,1,0.5x", r"results\.csv:3: could not convert"),
+        (b"SC1,0.0,0,0.02", r"results\.csv:3: duplicate of the row on line 2"),
+        (b"SC1,0,-3,0.01", r"results\.csv:3: negative repetition or epsilon"),
+        (b"SC2,-0.5,0,0.02", r"results\.csv:3: negative repetition or epsilon"),
+        (b"SC1,0.3,1,0.01", r"results\.csv:3: SC1 row at nonzero epsilon"),
+        (b"SC4,0.1,0,0.01", r"results\.csv:3: unknown scenario 'SC4'"),
+        (b"sc1,0,0,0.01", r"results\.csv:3: unknown scenario 'sc1'"),
+        (b"SC2,0,0,0.01", r"results\.csv:3: SC2 row at epsilon 0"),
+        (b"SC1,-0,0,0.01", r"results\.csv:3: negative repetition or epsilon"),
         (
-            "SC2,0.1,0,0.02\nSC2,0.1000001,0,0.03",
+            b"SC2,0.1,0,0.02\nSC2,0.1000001,0,0.03",
             r"results\.csv:4: epsilon 0\.1000001 prints like 0\.1$",
         ),
         (None, r"results\.csv: no result rows"),
+        (b"SC1,0,1,-0.5", r"results\.csv:3: negative MSE -0\.5$"),
+        (b"SC2,0.1,0,-0", r"results\.csv:3: negative MSE -0$"),
+        (b"SC1,0,1,0.01\xff", r"results\.csv:3: 'utf-8' codec can't decode byte 0xff"),
     ],
 )
 def test_malformed_results_csv_exits_3(runner, tmp_path, line, message):
     """Each entry (a line, or two) follows a header and one SC1 row; None
     leaves the header alone."""
     path = tmp_path / "results.csv"
-    rows = "" if line is None else f"SC1,0,0,0.01\n{line}\n"
-    path.write_text(f"scenario,epsilon,repetition,mse\n{rows}")
+    rows = b"" if line is None else b"SC1,0,0,0.01\n" + line + b"\n"
+    path.write_bytes(b"scenario,epsilon,repetition,mse\n" + rows)
     result = runner.invoke(cli.main, ["report", "--results", str(path), "--out", str(tmp_path / "r")])
     assert result.exit_code == 3, result.output
     assert re.search("format error: .*" + message, result.output), result.output

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -17,7 +18,7 @@ import pytest
 
 from beamsec import config, harness, numcore
 from beamsec.attack import AttackConfig, attack_dataset
-from beamsec.channel import UserGrid, build_dataset, split_dataset
+from beamsec.channel import UserGrid, build_dataset, default_scenario, split_dataset
 from beamsec.defense import DefenseConfig, RoundRecord, adversarial_train
 from beamsec.harness import (
     ConfigError,
@@ -565,6 +566,36 @@ def test_readme_config_block_is_the_defaults():
     (block,) = section.split("```json\n")[1:]
     doc = json.loads(block.split("```", 1)[0])
     assert config.load(ExperimentConfig, doc) == ExperimentConfig()
+
+
+def test_readme_budget_figures_match_the_default_scenario():
+    """README's Output files section gives the attack budget in power terms
+    on the default scenario's training split. Each figure is recomputed here
+    and must round to README's one printed decimal, so the text cannot drift
+    from the code."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    text = readme.split("**The budget in power terms.**", 1)[1].split("\n## ", 1)[0]
+    text = " ".join(text.split())
+    scenario = default_scenario(1)
+    train, _ = split_dataset(build_dataset(scenario, 12500), 0.8, np.random.default_rng(0))
+    meta = train.norm_meta
+    raw = meta._denormalize_features_(train.features.copy())
+    pilot = np.mean(raw[:, 0::2] ** 2 + raw[:, 1::2] ** 2)
+    corner = np.mean(meta.feature_std[0::2] ** 2 + meta.feature_std[1::2] ** 2)
+    db = lambda ratio: 10.0 * np.log10(ratio)
+    rows = re.findall(r"\| ([\d.]+) \| ([-+][\d.]+) dB \| ([-+][\d.]+) dB \|", text)
+    assert [eps for eps, *_ in rows] == ["0.1", "0.01"]
+    for eps, vs_pilot, vs_noise in rows:
+        step = float(eps) ** 2 * corner
+        assert abs(float(vs_pilot) - db(step / pilot)) <= 0.05
+        assert abs(float(vs_noise) - db(step / scenario.noise_variance)) <= 0.05
+    (snr,) = re.findall(r"The pilot SNR .*? is ([\d.]+) dB", text)
+    assert abs(float(snr) - db(pilot / scenario.noise_variance)) <= 0.05
+    spread = r"is ([\d.]+) std, so epsilon = 0\.1 moves a feature by about ([\d.]+) %"
+    span, share = re.search(spread, text).groups()
+    median = np.median(train.features.max(axis=0) - train.features.min(axis=0))
+    assert abs(float(span) - median) <= 0.05
+    assert abs(float(share) - 100 * 0.1 / median) <= 0.05
 
 
 def test_config_rejects_unknown_fields():

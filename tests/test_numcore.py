@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import ctypes
 import math
+import multiprocessing
 import os
 import threading
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -293,6 +295,16 @@ def test_importing_numcore_sets_openblas_to_one_thread():
     getter.argtypes, getter.restype = [], ctypes.c_int
     assert numcore.BLAS_THREADS == 1
     assert getter() == 1
+    assert numcore._pass_threads() == len(os.sched_getaffinity(0))
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable cores to tell")
+def test_forked_process_runs_blocked_passes_on_one_thread():
+    """A process forked from the one that loaded numcore, as run_experiment's
+    workers are, runs its blocked passes on one thread with nothing run in it
+    to say so; the process that loaded numcore keeps every usable core."""
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+        assert pool.submit(numcore._pass_threads).result() == 1
     assert numcore._pass_threads() == len(os.sched_getaffinity(0))
 
 

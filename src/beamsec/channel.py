@@ -236,7 +236,14 @@ def beam_rates(h, codebook: np.ndarray, snr_linear: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NormMeta:
-    """Feature z-score parameters and the linear label map fitted on one split."""
+    """Feature z-score parameters and the linear label map fitted on one split.
+
+    normalize_ is the one map from raw to model units and denormalize_ the
+    one map back. Features map (x - feature_mean) / feature_std, where
+    fit_normalization puts 1 in place of a constant column's std. Labels map
+    label_cap * (y - label_min) / (label_max - label_min); when every label
+    is equal they map to 0 and back to label_min.
+    """
 
     feature_mean: np.ndarray
     feature_std: np.ndarray
@@ -255,32 +262,28 @@ class NormMeta:
         if not 0.0 < self.label_cap < 1.0:
             raise ValueError("label_cap must lie in (0, 1)")
 
-    def _normalize_features_(self, X: np.ndarray) -> np.ndarray:
-        """Z-score the raw float64 feature array X in place."""
+    def normalize_(self, X: np.ndarray, y) -> Tuple[np.ndarray, np.ndarray]:
+        """Z-score the raw float64 feature matrix X in place; return it and
+        the raw labels y mapped to [0, label_cap] as a new float64 array."""
         X -= self.feature_mean
         X /= self.feature_std
-        return X
-
-    def _denormalize_features_(self, X: np.ndarray) -> np.ndarray:
-        """Map the z-scored float64 feature array X back to raw values in place."""
-        X *= self.feature_std
-        X += self.feature_mean
-        return X
-
-    def normalize_labels(self, raw) -> np.ndarray:
-        raw = np.asarray(raw, dtype=np.float64)
-        span = self.label_max - self.label_min
-        if span <= 0.0:
-            return np.zeros_like(raw)
-        # ratio first so the max maps to label_cap bit-exactly
-        return self.label_cap * ((raw - self.label_min) / span)
-
-    def denormalize_labels(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64)
         span = self.label_max - self.label_min
         if span <= 0.0:
-            return np.full_like(y, self.label_min)
-        return self.label_min + (y / self.label_cap) * span
+            return X, np.zeros_like(y)
+        # ratio first so the max maps to label_cap bit-exactly
+        return X, self.label_cap * ((y - self.label_min) / span)
+
+    def denormalize_(self, X: np.ndarray, y) -> Tuple[np.ndarray, np.ndarray]:
+        """Map the z-scored float64 feature matrix X back to raw values in
+        place; return it and the labels y mapped back as a new float64 array."""
+        X *= self.feature_std
+        X += self.feature_mean
+        y = np.asarray(y, dtype=np.float64)
+        span = self.label_max - self.label_min
+        if span <= 0.0:
+            return X, np.full_like(y, self.label_min)
+        return X, self.label_min + (y / self.label_cap) * span
 
 
 def fit_normalization(raw_features, raw_labels) -> NormMeta:
@@ -373,20 +376,22 @@ def build_dataset(params: ScenarioParams, num_instances: int) -> Dataset:
         feats_raw[rows] += pilots[i]
         label_raw[rows] = point_label[i]
 
-    norm = fit_normalization(feats_raw, label_raw)
-    return Dataset(
-        features=norm._normalize_features_(feats_raw),
-        labels=norm.normalize_labels(label_raw),
-        norm_meta=norm,
-        scenario=params,
-    )
+    return _standardized(feats_raw, label_raw, fit_normalization(feats_raw, label_raw), params)
+
+
+def _standardized(X: np.ndarray, y, norm: NormMeta, scenario: ScenarioParams) -> Dataset:
+    """The Dataset of raw float64 features X, normalized in place, and raw
+    labels y under norm."""
+    X, y = norm.normalize_(X, y)
+    return Dataset(features=X, labels=y, norm_meta=norm, scenario=scenario)
 
 
 def split_dataset(ds: Dataset, train_fraction: float, rng) -> Tuple[Dataset, Dataset]:
     """Shuffle-split rows; normalization is re-fitted on the training rows only.
 
-    Each side maps only the rows it takes back to raw values and on to the
-    new normalization, in one array per side."""
+    Each side copies only the rows it takes, maps them back to raw values
+    with ds.norm_meta.denormalize_ and on to the training side's fit with
+    normalize_, all in one array per side."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie in (0, 1)")
     n = ds.num_rows
@@ -394,23 +399,12 @@ def split_dataset(ds: Dataset, train_fraction: float, rng) -> Tuple[Dataset, Dat
     if n_train < 1 or n_train >= n:
         raise ValueError("split leaves an empty side")
     order = rng.permutation(n)
-
-    def raw(rows):
-        X = ds.features[rows].astype(np.float64, copy=False)
-        y = ds.norm_meta.denormalize_labels(ds.labels[rows])
-        return ds.norm_meta._denormalize_features_(X), y
-
-    def cut(X, y):
-        return Dataset(
-            features=norm._normalize_features_(X),
-            labels=norm.normalize_labels(y),
-            norm_meta=norm,
-            scenario=ds.scenario,
-        )
-
-    train_X, train_y = raw(order[:n_train])
-    norm = fit_normalization(train_X, train_y)
-    return cut(train_X, train_y), cut(*raw(order[n_train:]))
+    back, train_rows, test_rows = ds.norm_meta.denormalize_, order[:n_train], order[n_train:]
+    X, y = back(ds.features[train_rows].astype(np.float64, copy=False), ds.labels[train_rows])
+    norm = fit_normalization(X, y)
+    train = _standardized(X, y, norm, ds.scenario)
+    X, y = back(ds.features[test_rows].astype(np.float64, copy=False), ds.labels[test_rows])
+    return train, _standardized(X, y, norm, ds.scenario)
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,7 @@ def train(config, data, seed, out):
 @_guarded
 def attack(model_path, data, eps, out):
     """Write an FGSM-perturbed copy of a dataset."""
+    budget = AttackConfig(epsilon=eps)
     model = numcore.load_model(model_path)
     ds = load_dataset(data)
     if model.spec.input_dim != ds.num_features:
@@ -106,7 +107,7 @@ def attack(model_path, data, eps, out):
             f"model {model_path} takes {model.spec.input_dim} features, "
             f"dataset {data} has {ds.num_features}"
         )
-    x_adv = attack_dataset(model, ds, AttackConfig(epsilon=eps))
+    x_adv = attack_dataset(model, ds, budget)
     save_dataset(replace(ds, features=x_adv, adversarial=True, epsilon=float(eps)), out)
     clean = numcore.mse_loss(numcore.predict(model, ds.features), ds.labels)
     attacked = numcore.mse_loss(numcore.predict(model, x_adv), ds.labels)

@@ -36,8 +36,9 @@ def read_framed(path, magic: bytes, header_cls, decode):
     config.load rejects unknown keys, missing fields and mistyped values.
     decode calls take(shape) once per array, in file order; take reads the
     array straight from the file. The payload must be exactly the arrays
-    taken. Any KeyError, TypeError or ValueError raised while loading the
-    header or decoding becomes a FormatError naming the file.
+    taken, and every value in it finite. Any KeyError, TypeError or
+    ValueError raised while loading the header or decoding becomes a
+    FormatError naming the file.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -57,6 +58,9 @@ def read_framed(path, magic: bytes, header_cls, decode):
             room(8 * math.prod(shape))
             array = np.empty(shape, dtype="<f8")
             fh.readinto(array)
+            # min and max are NaN or infinite when any value is, and copy nothing
+            if array.size and not (np.isfinite(array.min()) and np.isfinite(array.max())):
+                raise FormatError(f"{path}: non-finite value in the payload")
             return array
 
         if need(len(magic)) != magic:

@@ -308,6 +308,35 @@ def reference_build_dataset(params, num_instances: int):
     return SimpleNamespace(idx=idx, features=features, labels=labels, norm=norm)
 
 
+def reference_split(ds, train_fraction: float, rng):
+    """split_dataset out of place: every row back to raw values
+    (X * std + mean, label_min + (y / cap) * span), the fit on the training
+    rows, then (raw - mean) / std and cap * ((raw - min) / span) on each side.
+    Equal labels map back to label_min and on to 0.
+
+    Returns the (train, test) sides, each with features, labels and norm."""
+    old = ds.norm_meta
+    raw_X = ds.features * old.feature_std + old.feature_mean
+    span = old.label_max - old.label_min
+    if span > 0:
+        raw_y = old.label_min + (ds.labels / old.label_cap) * span
+    else:
+        raw_y = np.full(ds.num_rows, old.label_min)
+    order = rng.permutation(ds.num_rows)
+    n_train = int(round(train_fraction * ds.num_rows))
+    norm = channel.fit_normalization(raw_X[order[:n_train]], raw_y[order[:n_train]])
+    span = norm.label_max - norm.label_min
+    sides = []
+    for rows in (order[:n_train], order[n_train:]):
+        features = (raw_X[rows] - norm.feature_mean) / norm.feature_std
+        if span > 0:
+            labels = norm.label_cap * ((raw_y[rows] - norm.label_min) / span)
+        else:
+            labels = np.zeros(len(rows))
+        sides.append(SimpleNamespace(features=features, labels=labels, norm=norm))
+    return tuple(sides)
+
+
 def raw_features(ds) -> np.ndarray:
     """A dataset's features mapped back to raw values: X * std + mean."""
     return ds.features * ds.norm_meta.feature_std + ds.norm_meta.feature_mean

@@ -302,7 +302,7 @@ def test_pilot_features_noiseless_matches_channel(tiny_scenario):
                 oracles.brute_force_best_beam(h_n, cb, params.snr_linear)[1] for h_n in h
             )
         raw_X = oracles.raw_features(ds)
-        raw_y = ds.norm_meta.denormalize_labels(ds.labels)
+        raw_y = ds.norm_meta.denormalize_(ds.features.copy(), ds.labels)[1]
         scale = np.max(np.abs(feats))
         assert np.max(np.abs(raw_X - feats)) <= 1e-9 * scale
         assert np.allclose(raw_y, labels, rtol=1e-9, atol=0.0)
@@ -375,11 +375,11 @@ def test_instance_draws_do_not_depend_on_instance_count():
     for params in (default_scenario(), two_bs(default_scenario())):
         big = build_dataset(params, 3000)
         big_X = oracles.raw_features(big)
-        big_y = big.norm_meta.denormalize_labels(big.labels)
+        big_y = big.norm_meta.denormalize_(big.features.copy(), big.labels)[1]
         for n in (1, 1023, 1024, 1025, 2048):
             ds = build_dataset(params, n)
             raw_X = oracles.raw_features(ds)
-            raw_y = ds.norm_meta.denormalize_labels(ds.labels)
+            raw_y = ds.norm_meta.denormalize_(ds.features.copy(), ds.labels)[1]
             assert np.max(np.abs(raw_X - big_X[:n])) <= 1e-12 * np.max(np.abs(big_X[:n]))
             assert np.max(np.abs(raw_y - big_y[:n])) <= 1e-12 * np.max(np.abs(big_y[:n]))
 
@@ -439,6 +439,30 @@ def test_split_refits_normalization_on_train_side(tiny_scenario):
         split_dataset(ds, 1.0, np.random.default_rng(0))
     with pytest.raises(ValueError):
         split_dataset(ds, 0.0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("fraction", (0.2, 0.5, 0.8))
+def test_split_matches_reference_bit_for_bit(tiny_scenario, fraction):
+    """Both sides of a split, and the normalization fitted on the training
+    rows, equal the out-of-place reference exactly: on two seeds of the tiny
+    scenario, and on two scenarios whose labels are all equal, so the label
+    map takes its constant branch both ways: zero SNR, where every label is
+    0, and a one-point grid, where every label is that point's rate."""
+    constant = (replace(tiny_scenario, snr_linear=0.0), one_point(tiny_scenario, 2.0, 0.5))
+    for params in (tiny_scenario, replace(tiny_scenario, seed=8), *constant):
+        ds = build_dataset(params, 300)
+        if params in constant:
+            assert np.all(ds.labels == 0.0) and ds.norm_meta.label_min == ds.norm_meta.label_max
+        got = split_dataset(ds, fraction, np.random.default_rng(3))
+        want = oracles.reference_split(ds, fraction, np.random.default_rng(3))
+        for side, ref in zip(got, want):
+            assert np.array_equal(side.features, ref.features)
+            assert np.array_equal(side.labels, ref.labels)
+            assert np.array_equal(side.norm_meta.feature_mean, ref.norm.feature_mean)
+            assert np.array_equal(side.norm_meta.feature_std, ref.norm.feature_std)
+            assert (side.norm_meta.label_min, side.norm_meta.label_max) == (
+                ref.norm.label_min, ref.norm.label_max
+            )
 
 
 def test_split_dataset_peak_memory(tiny_scenario):

@@ -423,6 +423,9 @@ BMMLP1_HEADER = {
     "seed": 0,
 }
 
+# Files whose payload holds one non-finite value, each run through attack.
+NON_FINITE_PAYLOADS = ("dataset_nan_feature", "dataset_inf_label", "model_nan_weight")
+
 # Dataset headers that differ from save_dataset's by one field each.
 DATASET_HEADER_EDITS = {
     "dataset_adversarial_string": lambda h: h.update(adversarial="no"),
@@ -453,6 +456,7 @@ DATASET_HEADER_EDITS = {
         "model_bmmlp1",
         *MODEL_HEADER_EDITS,
         *DATASET_HEADER_EDITS,
+        *NON_FINITE_PAYLOADS,
     ],
 )
 def test_malformed_artifact_exits_3(runner, tmp_path, case):
@@ -472,6 +476,19 @@ def test_malformed_artifact_exits_3(runner, tmp_path, case):
     elif case == "model_bmmlp1":
         write_framed(bad, b"BMMLP1", BMMLP1_HEADER, [net.params])
         argv = attack_with(bad)
+    elif case == "model_nan_weight":
+        params = net.params.copy()
+        params[17] = np.nan
+        write_framed(bad, b"BMMLP2", config.dump(net.spec), [params])
+        argv = attack_with(bad)
+    elif case in NON_FINITE_PAYLOADS:
+        ds = load_dataset(data)
+        if case == "dataset_nan_feature":
+            ds.features[3, 2] = np.nan
+        else:
+            ds.labels[7] = np.inf
+        save_dataset(ds, bad)
+        argv = ["attack", "--model", str(model), "--data", str(bad), "--eps", "0.1", "--out", out]
     elif case in DATASET_HEADER_EDITS:
         blob = data.read_bytes()
         (hlen,) = struct.unpack("<I", blob[5:9])
@@ -494,20 +511,25 @@ def test_malformed_artifact_exits_3(runner, tmp_path, case):
     assert re.search(r"format error: .*(bad|data|model)\.bin", result.output)
     if case == "model_bmmlp1":
         assert "bad magic" in result.output
+    if case in NON_FINITE_PAYLOADS:
+        assert "bad.bin: non-finite value" in result.output
 
 
 @pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
 def test_non_finite_attack_budget_exits_2(runner, tmp_path, eps):
+    """The budget is checked before either file is read, so a missing
+    model is reported as the budget error too."""
     data, model, out = tmp_path / "data.bin", tmp_path / "model.bin", tmp_path / "out.bin"
     save_dataset(build_dataset(make_tiny_scenario(seed=5), 50), data)
     numcore.save_model(numcore.init_model(8, 0), model)
-    result = runner.invoke(
-        cli.main,
-        ["attack", "--model", str(model), "--data", str(data), f"--eps={eps}", "--out", str(out)],
-    )
-    assert result.exit_code == 2, result.output
-    assert "config error: epsilon" in result.output
-    assert not out.exists()
+    for path in (model, tmp_path / "missing.bin"):
+        result = runner.invoke(
+            cli.main,
+            ["attack", "--model", str(path), "--data", str(data), f"--eps={eps}", "--out", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert "config error: epsilon" in result.output
+        assert not out.exists()
 
 
 def test_attack_with_mismatched_model_width_exits_2(runner, tmp_path):

@@ -579,7 +579,7 @@ def test_readme_budget_figures_match_the_default_scenario():
     scenario = default_scenario(1)
     train, _ = split_dataset(build_dataset(scenario, 12500), 0.8, np.random.default_rng(0))
     meta = train.norm_meta
-    raw = meta._denormalize_features_(train.features.copy())
+    raw, _ = meta.denormalize_(train.features.copy(), train.labels)
     pilot = np.mean(raw[:, 0::2] ** 2 + raw[:, 1::2] ** 2)
     corner = np.mean(meta.feature_std[0::2] ** 2 + meta.feature_std[1::2] ** 2)
     db = lambda ratio: 10.0 * np.log10(ratio)

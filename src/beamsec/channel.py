@@ -419,6 +419,8 @@ class _DatasetHeader:
     epsilon: Optional[float]
 
     def __post_init__(self):
+        if self.rows < 1 or self.cols < 1:
+            raise ValueError("a dataset must have at least one row and one column")
         if self.epsilon is not None and self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
         if len(self.norm_meta.feature_mean) != self.cols:

@@ -19,12 +19,13 @@ class DefenseConfig:
     steady_state_rel_tol: float = 0.01
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("defense epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"defense epsilon must be finite and positive, got {self.epsilon!r}")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
-        if self.steady_state_rel_tol <= 0:
-            raise ValueError("steady_state_rel_tol must be positive")
+        tol = self.steady_state_rel_tol
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"steady_state_rel_tol must be finite and positive, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -62,20 +63,21 @@ def adversarial_train(
 
     Returns the model from the round with the lowest probe adversarial MSE
     (kept_round: ties go to the earliest round; round 0 counts), so the round
-    that stopped the loop is returned only when it is the best one. The
-    history lists every round that ran, including the one that stopped the
-    loop.
+    that stopped the loop is returned only when it is the best one. A round's
+    model is copied only when that round is the kept one so far, and the
+    last such copy is returned. The history lists every round that ran,
+    including the one that stopped the loop.
     """
     X = np.asarray(base.features, dtype=np.float64)
     y = np.asarray(base.labels, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("base dataset must be a nonempty (n, d) matrix")
     n = X.shape[0]
-    model = numcore.copy_model(model)
+    model = numcore.MlpModel(model.spec, model.params)
 
     atk = AttackConfig(epsilon=def_cfg.epsilon)
     probe = rng.permutation(n)[: max(1, math.ceil(0.1 * n))]
-    pool_x, pool_y, history, snapshots = X, y, [], []
+    pool_x, pool_y, history = X, y, []
     for round_index in range(def_cfg.max_rounds):
         if round_index > 0:
             pick = rng.permutation(n)
@@ -84,13 +86,14 @@ def adversarial_train(
             model, _ = numcore.train(model, _Pool(pool_x, pool_y), train_cfg, rng)
         clean, adv = attacked_mse(model, X[probe], y[probe], (0.0, atk.epsilon))
         history.append(RoundRecord(round_index, clean, adv, pool_y.shape[0]))
-        snapshots.append(numcore.copy_model(model))
+        if kept_round(history) is history[-1]:
+            kept = numcore.MlpModel(model.spec, model.params)
         if round_index > 0:
             prev_adv = history[-2].adv_mse
             improvement = (prev_adv - adv) / prev_adv if prev_adv > 0 else 0.0
             if improvement < def_cfg.steady_state_rel_tol:
                 break
-    return snapshots[kept_round(history).round_index], history
+    return kept, history
 
 
 def kept_round(history: Sequence[RoundRecord]) -> RoundRecord:

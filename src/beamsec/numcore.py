@@ -10,6 +10,7 @@ white-box attack code consumes.
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -86,14 +87,15 @@ class Layer(NamedTuple):
 
 class MlpModel:
     """A ModelSpec and one float64 parameter vector (a copy of `params`);
-    `layers` holds each layer's views into that vector, the head last."""
+    `layers` holds each layer's views into that vector, the head last. So
+    MlpModel(model.spec, model.params) is a copy of `model`."""
 
     def __init__(self, spec: ModelSpec, params):
         self.spec = spec
         self.params = np.array(params, dtype=np.float64)
         if self.params.shape != (spec.size,):
             raise ValueError(f"parameter vector must have shape ({spec.size},)")
-        self.layers = tuple(Layer(w, b) for w, b in _layer_views(spec, self.params))
+        self.layers = tuple(_layer_views(spec, self.params))
 
 
 @dataclass(frozen=True)
@@ -103,22 +105,12 @@ class TrainConfig:
     epochs: int = 10
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-
-
-@dataclass
-class AdamState:
-    """First/second moment accumulators over a flat parameter vector, and two
-    work vectors of the same length that each update writes through."""
-
-    m: np.ndarray
-    v: np.ndarray
-    work: Tuple[np.ndarray, np.ndarray]
 
 
 def init_model(
@@ -138,42 +130,40 @@ def init_model(
     return model
 
 
-def copy_model(model: MlpModel) -> MlpModel:
-    """Deep copy (a fresh parameter vector)."""
-    return MlpModel(model.spec, model.params)
-
-
 class _Workspace:
     """Buffers for the passes of one call over batches of at most `rows` rows.
 
-    The forward pass writes each layer's activation, and in train mode each
-    hidden layer's dropout mask, into buffers of its own, and drops a hidden
-    layer's units in its activation buffer; `caches` holds each layer's
-    (input, activation, mask) views from the last forward pass. With
-    `backward`, one more buffer, sized to the widest layer, holds the
-    backward pass's delta; that pass also overwrites each activation with
-    its layer's derivative. Every buffer is allocated here, so a workspace
-    made in one thread and used in another puts nothing on the second
-    thread's heap.
+    The forward pass writes each layer's activation into a buffer of its own.
+    Given an `rng`, the workspace is in train mode: when the model drops
+    units, each hidden layer also has a dropout mask buffer, which the
+    forward pass fills from `rng`, and it drops that layer's units in its
+    activation buffer. `caches` holds each layer's (input, activation, mask)
+    views from the last forward pass. With `backward`, one more buffer, sized
+    to the widest layer, holds the backward pass's delta; that pass also
+    overwrites each activation with its layer's derivative. Every buffer is
+    allocated here, so a workspace made in one thread and used in another
+    puts nothing on the second thread's heap.
     """
 
-    def __init__(self, model, rows, train, backward):
+    def __init__(self, model, rows, backward, rng=None):
         widths = model.spec.widths
+        self.rng = rng
         self.act = [np.empty((rows, w)) for w in widths[1:]]
-        dropout = train and model.spec.dropout_ratio > 0.0
+        dropout = rng is not None and model.spec.dropout_ratio > 0.0
         self.mask = [np.empty(a.shape) if dropout else None for a in self.act[:-1]] + [None]
         self.caches = []
         self.delta = np.empty(rows * max(widths)) if backward else None
 
 
-def _forward_batch(model, X, ws, rng=None):
+def _forward_batch(model, X, ws):
     """Run the stack on a (B, input_dim) batch through the buffers of
     workspace `ws`, which then holds the caches of the backward pass;
     returns preds (B,).
 
-    With an rng the pass is in train mode and draws the hidden layers'
-    dropout masks from it; without one it is the inference pass. preds is a
-    view into `ws`, which the backward pass clobbers: read it first.
+    A hidden layer with a mask buffer, which only a train-mode workspace
+    has, draws its dropout mask from `ws.rng`; without mask buffers this is
+    the inference pass. preds is a view into `ws`, which the backward pass
+    clobbers: read it first.
     """
     rows = X.shape[0]
     out = X
@@ -187,14 +177,12 @@ def _forward_batch(model, X, ws, rng=None):
             np.maximum(act, 0.0, out=act)
         else:
             np.tanh(act, out=act)
-        if rng is not None and mask is not None:
+        if mask is not None:
             # inverted dropout: scale at train time so inference needs no rescale
-            mask = rng.random(out=mask[:rows])
+            mask = ws.rng.random(out=mask[:rows])
             np.less(mask, keep, out=mask)
             mask /= keep
             act *= mask
-        else:
-            mask = None
         ws.caches.append((out, act, mask))
         out = act
     return out[:, 0]
@@ -293,7 +281,7 @@ def _blocks(model, n, backward, work):
     bounds = [count * i // threads for i in range(threads + 1)]
     runs = [blocks[a:b] for a, b in zip(bounds, bounds[1:])]
     largest = [run[-1].stop - run[-1].start for run in runs]
-    workspaces = [_Workspace(model, rows, train=False, backward=backward) for rows in largest]
+    workspaces = [_Workspace(model, rows, backward) for rows in largest]
 
     errors = []
 
@@ -362,51 +350,50 @@ def input_gradients(model: MlpModel, X, y) -> np.ndarray:
     return grads
 
 
-def _layer_views(spec: ModelSpec, flat):
-    """Per-layer (weights, bias) views of a flat vector of length spec.size:
+def _layer_views(spec: ModelSpec, flat) -> List[Layer]:
+    """Each layer's Layer of views into a flat vector of length spec.size:
     each layer's weights, row-major (out_dim, in_dim), then its bias."""
     views, at, w = [], 0, spec.widths
     for in_dim, out_dim in zip(w, w[1:]):
         end = at + out_dim * in_dim
-        views.append((flat[at:end].reshape(out_dim, in_dim), flat[end : end + out_dim]))
+        views.append(Layer(flat[at:end].reshape(out_dim, in_dim), flat[end : end + out_dim]))
         at = end + out_dim
     return views
 
 
-def init_adam_state(params: np.ndarray) -> AdamState:
-    return AdamState(
-        m=np.zeros_like(params),
-        v=np.zeros_like(params),
-        work=(np.empty_like(params), np.empty_like(params)),
-    )
+class _Adam:
+    """Bias-corrected Adam over one flat parameter vector, which step(grad)
+    updates in place. It holds the whole optimizer state: the first and
+    second moments m and v, the count t of steps taken, and two work vectors
+    of the parameters' length that each step writes through."""
 
+    def __init__(self, params: np.ndarray, learning_rate: float):
+        self.params, self.learning_rate = params, learning_rate
+        self.m, self.v = np.zeros_like(params), np.zeros_like(params)
+        self.work = (np.empty_like(params), np.empty_like(params))
+        self.t = 0
 
-def adam_step(
-    params: np.ndarray, grad: np.ndarray, state: AdamState, cfg: TrainConfig, t: int
-) -> None:
-    """One bias-corrected Adam update of a flat parameter vector in place; t is
-    the 1-based step counter."""
-    if t < 1:
-        raise ValueError("step counter t must be >= 1")
-    if grad.shape != params.shape or state.m.shape != params.shape:
-        raise ValueError("gradient and moment shapes must match the parameter vector")
-    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, cfg.learning_rate
-    c1 = 1.0 - b1**t
-    c2 = 1.0 - b2**t
-    m, v, (step, scale) = state.m, state.v, state.work
-    m *= b1
-    m += np.multiply(grad, 1.0 - b1, out=step)
-    v *= b2
-    np.multiply(grad, 1.0 - b2, out=step)
-    step *= grad
-    v += step
-    np.divide(m, c1, out=step)
-    step *= lr
-    np.divide(v, c2, out=scale)
-    np.sqrt(scale, out=scale)
-    scale += eps
-    step /= scale
-    params -= step
+    def step(self, grad: np.ndarray) -> None:
+        if grad.shape != self.params.shape:
+            raise ValueError("gradient shape must match the parameter vector")
+        self.t += 1
+        b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, self.learning_rate
+        c1 = 1.0 - b1**self.t
+        c2 = 1.0 - b2**self.t
+        m, v, (step, scale) = self.m, self.v, self.work
+        m *= b1
+        m += np.multiply(grad, 1.0 - b1, out=step)
+        v *= b2
+        np.multiply(grad, 1.0 - b2, out=step)
+        step *= grad
+        v += step
+        np.divide(m, c1, out=step)
+        step *= lr
+        np.divide(v, c2, out=scale)
+        np.sqrt(scale, out=scale)
+        scale += eps
+        step /= scale
+        self.params -= step
 
 
 def train(model: MlpModel, data, cfg: TrainConfig, rng) -> Tuple[MlpModel, List[float]]:
@@ -431,14 +418,12 @@ def train(model: MlpModel, data, cfg: TrainConfig, rng) -> Tuple[MlpModel, List[
     if np.any(np.abs(y) >= 1.0):
         raise ValueError("labels must lie strictly inside the tanh range (-1, 1)")
     n = X.shape[0]
-    params = model.params
-    grad = np.empty_like(params)
+    grad = np.empty_like(model.params)
     grads = _layer_views(model.spec, grad)
-    state = init_adam_state(params)
+    adam = _Adam(model.params, cfg.learning_rate)
     rows = min(cfg.batch_size, n)
-    ws = _Workspace(model, rows, train=True, backward=True)
+    ws = _Workspace(model, rows, backward=True, rng=rng)
     xb_buf, yb_buf = np.empty((rows, X.shape[1])), np.empty(rows)
-    t = 0
     history = []
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
@@ -447,14 +432,13 @@ def train(model: MlpModel, data, cfg: TrainConfig, rng) -> Tuple[MlpModel, List[
             idx = order[start : start + cfg.batch_size]
             xb = np.take(X, idx, axis=0, out=xb_buf[: idx.size])
             yb = np.take(y, idx, out=yb_buf[: idx.size])
-            preds = _forward_batch(model, xb, ws, rng)
+            preds = _forward_batch(model, xb, ws)
             err = preds - yb
             losses.append(float(np.mean(err * err)))
             dout = 2.0 * err / idx.size
             _backward_batch(model, ws, dout, grads)
-            t += 1
-            adam_step(params, grad, state, cfg, t)
-            if not np.isfinite(params).all():
+            adam.step(grad)
+            if not np.isfinite(model.params).all():
                 finite = [np.isfinite(w).all() and np.isfinite(b).all() for w, b in model.layers]
                 raise NumericalError(f"non-finite parameters in layer {finite.index(False)}")
         history.append(float(np.mean(losses)))

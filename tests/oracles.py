@@ -243,14 +243,14 @@ def linf_multistep_attack(model, X, y, epsilon: float, steps: int = 20) -> np.nd
 def full_batch_predict(model, X) -> np.ndarray:
     """numcore.predict as one inference pass over all rows at once."""
     X = np.asarray(X, dtype=np.float64)
-    ws = numcore._Workspace(model, X.shape[0], train=False, backward=False)
+    ws = numcore._Workspace(model, X.shape[0], backward=False)
     return numcore._forward_batch(model, X, ws)
 
 
 def full_batch_input_gradients(model, X, y) -> np.ndarray:
     """numcore.input_gradients as one forward and one backward pass over all rows."""
     X = np.asarray(X, dtype=np.float64)
-    ws = numcore._Workspace(model, X.shape[0], train=False, backward=True)
+    ws = numcore._Workspace(model, X.shape[0], backward=True)
     preds = numcore._forward_batch(model, X, ws)
     dout = 2.0 * (preds - np.asarray(y, dtype=np.float64))
     return numcore._backward_batch(model, ws, dout, need_input_grads=True)

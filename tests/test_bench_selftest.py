@@ -73,3 +73,37 @@ def test_bench_tracer_counts_every_counted_call(tmp_path, tiny_config_path):
     assert report["counters"] == sorted(COUNTED_METRICS)
     for counter, metric in COUNTED_METRICS.items():
         assert report["metrics"][metric] > 0, counter
+
+
+TRACED_TRAIN = """
+import json
+from types import SimpleNamespace
+import numpy as np
+import spans
+from beamsec import cli, numcore
+tracer = spans.Tracer()
+tracer.install()
+tracer.active = True
+rng = np.random.default_rng(0)
+data = SimpleNamespace(features=rng.normal(size=(100, 4)), labels=rng.uniform(-0.5, 0.5, 100))
+model = numcore.init_model(4, 1, hidden_dims=(8,))
+numcore.train(model, data, numcore.TrainConfig(batch_size=10, epochs=1), rng)
+print(json.dumps([span.name for span in tracer.spans]))
+"""
+
+
+def test_bench_tracer_sees_no_span_inside_training():
+    """A 10-step train holds its optimizer state in one private object, so
+    a traced run records the train call and the init_model that built its
+    model, and no span per step."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(["src", "bench"]), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_TRAIN],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == ["numcore.init_model", "numcore.train"]

@@ -426,6 +426,10 @@ BMMLP1_HEADER = {
 # Files whose payload holds one non-finite value, each run through attack.
 NON_FINITE_PAYLOADS = ("dataset_nan_feature", "dataset_inf_label", "model_nan_weight")
 
+# Dataset files whose header and payload agree on 0 rows or on 0 columns,
+# each run through attack.
+EMPTY_PAYLOADS = ("dataset_no_rows", "dataset_no_cols")
+
 # Dataset headers that differ from save_dataset's by one field each.
 DATASET_HEADER_EDITS = {
     "dataset_adversarial_string": lambda h: h.update(adversarial="no"),
@@ -457,6 +461,7 @@ DATASET_HEADER_EDITS = {
         *MODEL_HEADER_EDITS,
         *DATASET_HEADER_EDITS,
         *NON_FINITE_PAYLOADS,
+        *EMPTY_PAYLOADS,
     ],
 )
 def test_malformed_artifact_exits_3(runner, tmp_path, case):
@@ -489,6 +494,19 @@ def test_malformed_artifact_exits_3(runner, tmp_path, case):
             ds.labels[7] = np.inf
         save_dataset(ds, bad)
         argv = ["attack", "--model", str(model), "--data", str(bad), "--eps", "0.1", "--out", out]
+    elif case in EMPTY_PAYLOADS:
+        # a real empty payload: a header edit alone would leave trailing bytes
+        blob = data.read_bytes()
+        (hlen,) = struct.unpack("<I", blob[5:9])
+        header = json.loads(blob[9 : 9 + hlen])
+        ds = load_dataset(data)
+        if case == "dataset_no_rows":
+            header["rows"], arrays = 0, [ds.features[:0], ds.labels[:0]]
+        else:
+            header["cols"], arrays = 0, [ds.features[:, :0], ds.labels]
+            header["norm_meta"].update(feature_mean=[], feature_std=[])
+        write_framed(bad, b"BMDS1", header, arrays)
+        argv = ["attack", "--model", str(model), "--data", str(bad), "--eps", "0.1", "--out", out]
     elif case in DATASET_HEADER_EDITS:
         blob = data.read_bytes()
         (hlen,) = struct.unpack("<I", blob[5:9])
@@ -513,6 +531,9 @@ def test_malformed_artifact_exits_3(runner, tmp_path, case):
         assert "bad magic" in result.output
     if case in NON_FINITE_PAYLOADS:
         assert "bad.bin: non-finite value" in result.output
+    if case in EMPTY_PAYLOADS:
+        assert "bad.bin: bad header" in result.output and "at least one row" in result.output
+        assert not Path(out).exists()
 
 
 @pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])

@@ -43,6 +43,12 @@ def test_defense_config_validation():
         DefenseConfig(max_rounds=0)
     with pytest.raises(ValueError):
         DefenseConfig(steady_state_rel_tol=0.0)
+    # a NaN tolerance would turn the plateau stop off without a word
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="defense epsilon"):
+            DefenseConfig(epsilon=value)
+        with pytest.raises(ValueError, match="steady_state_rel_tol"):
+            DefenseConfig(steady_state_rel_tol=value)
     cfg = DefenseConfig()
     assert (cfg.max_rounds, cfg.steady_state_rel_tol) == (10, 0.01)
 

@@ -156,8 +156,8 @@ def test_forward_validates_input():
 def test_dropout_zero_train_equals_infer():
     model = numcore.init_model(6, 5, dropout_ratio=0.0)
     x = np.linspace(-1, 1, 6)[None, :]
-    ws = numcore._Workspace(model, 1, train=True, backward=False)
-    train_pred = numcore._forward_batch(model, x, ws, np.random.default_rng(0))  # train mode
+    ws = numcore._Workspace(model, 1, backward=False, rng=np.random.default_rng(0))  # train mode
+    train_pred = numcore._forward_batch(model, x, ws)
     assert train_pred[0] == numcore.predict(model, x)[0]
 
 
@@ -166,8 +166,7 @@ def test_dropout_masks_are_seed_deterministic():
     x = np.linspace(-1, 1, 6)[None, :]
     a, b, c = (
         numcore._forward_batch(
-            model, x, numcore._Workspace(model, 1, train=True, backward=False),
-            np.random.default_rng(seed),
+            model, x, numcore._Workspace(model, 1, backward=False, rng=np.random.default_rng(seed))
         )[0]
         for seed in (42, 42, 43)
     )
@@ -406,22 +405,20 @@ def test_threaded_blocked_passes_peak_memory(monkeypatch):
     assert_blocked_passes_peak_memory()
 
 
-# ----------------------------------------------------------------- adam_step
+# --------------------------------------------------------------------- _Adam
 
 
 def test_adam_zero_gradient_is_fixed_point():
     model = numcore.init_model(3, 9, hidden_dims=(4,), dropout_ratio=0.0)
     params = np.concatenate([a.ravel() for l in model.layers for a in (l.weights, l.bias)])
     before = params.copy()
-    state = numcore.init_adam_state(params)
-    numcore.adam_step(params, np.zeros_like(params), state, TrainConfig(), t=1)
+    numcore._Adam(params, TrainConfig().learning_rate).step(np.zeros_like(params))
     assert np.array_equal(params, before)
 
 
 def test_adam_first_step_is_signed_learning_rate():
     params = np.zeros(2)  # one weight, one bias
-    state = numcore.init_adam_state(params)
-    numcore.adam_step(params, np.array([1.0, 0.0]), state, TrainConfig(), t=1)
+    numcore._Adam(params, TrainConfig().learning_rate).step(np.array([1.0, 0.0]))
     assert params[0] == pytest.approx(-0.01, abs=1e-8)
 
 
@@ -432,22 +429,22 @@ def test_adam_matches_scalar_reference_trajectory():
         steps = int(rng.integers(1, 30))
         gseq = rng.normal(size=steps)
         params = np.zeros(2)
-        state = numcore.init_adam_state(params)
+        adam = numcore._Adam(params, cfg.learning_rate)
         expected = oracles.adam_scalar_trajectory(gseq, cfg.learning_rate)
         for t, g in enumerate(gseq, start=1):
-            numcore.adam_step(params, np.array([g, 0.0]), state, cfg, t)
+            adam.step(np.array([g, 0.0]))
+            assert adam.t == t
             assert params[0] == pytest.approx(expected[t], abs=1e-12)
 
 
 def test_adam_rejects_bad_steps_and_shapes():
-    params = np.zeros(5)
-    state = numcore.init_adam_state(params)
+    """The step count is the optimizer's own, so no bad step can be passed
+    in; a gradient of the wrong shape is rejected."""
+    adam = numcore._Adam(np.zeros(5), TrainConfig().learning_rate)
     with pytest.raises(ValueError):
-        numcore.adam_step(params, np.zeros(5), state, TrainConfig(), t=0)
+        adam.step(np.zeros(4))
     with pytest.raises(ValueError):
-        numcore.adam_step(params, np.zeros(4), state, TrainConfig(), t=1)
-    with pytest.raises(ValueError):
-        numcore.adam_step(params, np.zeros((5, 5)), state, TrainConfig(), t=1)
+        adam.step(np.zeros((5, 5)))
 
 
 def test_train_config_validation():
@@ -457,6 +454,9 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
+    for rate in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=rate)
 
 
 # --------------------------------------------------------------------- train

@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .config import dump
+from .config import check_integers
 from .framing import read_framed, write_framed
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -93,6 +93,7 @@ class ScenarioParams:
     seed: int = 1
 
     def __post_init__(self):
+        check_integers(self)
         if self.num_bs < 1 or self.num_antennas < 1 or self.num_subcarriers < 1:
             raise ValueError("num_bs, num_antennas and num_subcarriers must be >= 1")
         if len(self.bs_positions) != self.num_bs:
@@ -432,23 +433,18 @@ def save_dataset(ds: Dataset, path) -> None:
     header = _DatasetHeader(
         ds.scenario, ds.norm_meta, ds.num_rows, ds.num_features, ds.adversarial, ds.epsilon
     )
-    write_framed(path, _MAGIC, dump(header), (ds.features, ds.labels))
+    write_framed(path, _MAGIC, header, (ds.features, ds.labels))
 
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset file; a malformed one raises framing.FormatError."""
-
-    def decode(head, take):
-        return Dataset(
-            features=take((head.rows, head.cols)),
-            labels=take((head.rows,)),
-            norm_meta=head.norm_meta,
-            scenario=head.scenario,
-            adversarial=head.adversarial,
-            epsilon=head.epsilon,
-        )
-
-    return read_framed(path, _MAGIC, _DatasetHeader, decode)
+    """Read a dataset file, rows x cols features then rows labels under its
+    header; a malformed one raises framing.FormatError."""
+    head, (features, labels) = read_framed(
+        path, _MAGIC, _DatasetHeader, lambda h: ((h.rows, h.cols), (h.rows,))
+    )
+    return Dataset(
+        features, labels, head.norm_meta, head.scenario, head.adversarial, head.epsilon
+    )
 
 
 def dataset_to_csv(ds: Dataset, path) -> None:

@@ -44,6 +44,15 @@ def _guarded(fn):
     return wrapper
 
 
+def _refuse_overwrite(outputs, inputs) -> None:
+    """Refuse, before anything is read, an output file that names an earlier
+    output or an input: each is a (flag, path) pair, path None if not given."""
+    for i, (flag, path) in enumerate(outputs):
+        for other, other_path in [*outputs[:i], *inputs]:
+            if path and other_path and Path(path).resolve() == Path(other_path).resolve():
+                raise ConfigError(f"{flag} and {other} name the same file: {other_path}")
+
+
 _format_option = click.option(
     "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", help="Report format."
 )
@@ -63,8 +72,7 @@ def main():
 @_guarded
 def generate(config, seed, instances, out, csv_path):
     """Simulate a dataset and write it as a binary dataset file."""
-    if csv_path and Path(csv_path).resolve() == Path(out).resolve():
-        raise ConfigError(f"--csv and --out name the same file: {out}")
+    _refuse_overwrite([("--out", out), ("--csv", csv_path)], [("--config", config)])
     cfg = load_config(config)
     params = cfg.scenario if seed is None else replace(cfg.scenario, seed=seed)
     count = instances if instances is not None else cfg.num_instances
@@ -83,6 +91,7 @@ def generate(config, seed, instances, out, csv_path):
 @_guarded
 def train(config, data, seed, out):
     """Train the predictor on a dataset and save a checkpoint."""
+    _refuse_overwrite([("--out", out)], [("--config", config), ("--data", data)])
     cfg = load_config(config)
     ds = load_dataset(data)
     model, history = numcore.fit(ds, cfg.train, np.random.default_rng(seed))
@@ -99,6 +108,7 @@ def train(config, data, seed, out):
 @_guarded
 def attack(model_path, data, eps, out):
     """Write an FGSM-perturbed copy of a dataset."""
+    _refuse_overwrite([("--out", out)], [("--model", model_path), ("--data", data)])
     budget = AttackConfig(epsilon=eps)
     model = numcore.load_model(model_path)
     ds = load_dataset(data)
@@ -123,8 +133,8 @@ def attack(model_path, data, eps, out):
 @_guarded
 def defend(config, data, seed, out, history_path):
     """Adversarially train a predictor and save the robust checkpoint."""
-    if history_path and Path(history_path).resolve() == Path(out).resolve():
-        raise ConfigError(f"--history and --out name the same file: {out}")
+    outputs = [("--out", out), ("--history", history_path)]
+    _refuse_overwrite(outputs, [("--config", config), ("--data", data)])
     cfg = load_config(config)
     ds = load_dataset(data)
     rng = np.random.default_rng(seed)

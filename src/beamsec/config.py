@@ -4,7 +4,8 @@ writing back.
 One loader serves every experiment config section and the headers of
 dataset files and model checkpoints. It reads each field by its declared
 type and rejects unknown keys, wrong types and non-finite numbers, naming
-the field path. dump is its inverse: it writes the run manifest's config
+the field path; check_integers holds a directly built dataclass to the same
+integer rule. dump is its inverse: it writes the run manifest's config
 and both artifact headers.
 """
 
@@ -54,14 +55,29 @@ def _value(kind, value, path: str):
         items = tuple(_value(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
         return np.array(items, dtype=np.float64) if kind is np.ndarray else items
     if kind in (int, float):
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not number or not math.isfinite(value) or (kind is int and not isinstance(value, int)):
+        number = _integer(value) or (kind is float and isinstance(value, float))
+        if not number or not math.isfinite(value):
             what = "an integer" if kind is int else "a finite number"
             raise ConfigError(f"{path}: expected {what}, got {value!r}")
         return kind(value)
     if not isinstance(value, kind):
         raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
     return value
+
+
+def _integer(value) -> bool:
+    """The one rule for an integer field: an int, and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_integers(obj) -> None:
+    """Raise ValueError naming a field of dataclass obj declared int that holds
+    a float, NaN or bool: the integer rule that load reads JSON by."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        # a postponed annotation (PEP 563) is the text "int"
+        if f.type in (int, "int") and not _integer(value):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
 
 
 def dump(value):

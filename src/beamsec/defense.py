@@ -10,6 +10,7 @@ import numpy as np
 
 from . import numcore
 from .attack import AttackConfig, attack_dataset, attacked_mse
+from .config import check_integers
 
 
 @dataclass(frozen=True)
@@ -19,6 +20,7 @@ class DefenseConfig:
     steady_state_rel_tol: float = 0.01
 
     def __post_init__(self):
+        check_integers(self)
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"defense epsilon must be finite and positive, got {self.epsilon!r}")
         if self.max_rounds < 1:

@@ -21,24 +21,27 @@ class FormatError(ValueError):
     """A file is not a well-formed artifact of the expected kind; names the file."""
 
 
-def write_framed(path, magic: bytes, header: dict, arrays) -> None:
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+def write_framed(path, magic: bytes, header, arrays) -> None:
+    """Write a framed file: magic, then the header dataclass as the JSON of
+    config.dump with sorted keys, then each array as little-endian float64."""
+    blob = json.dumps(config.dump(header), sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(magic + struct.pack("<I", len(blob)) + blob)
         for array in arrays:
             fh.write(np.ascontiguousarray(array, dtype="<f8"))
 
 
-def read_framed(path, magic: bytes, header_cls, decode):
-    """Return decode(header, take) for a framed file, where header is the
-    file's JSON header loaded as the dataclass header_cls by config.load.
+def read_framed(path, magic: bytes, header_cls, shapes):
+    """Return (header, arrays) of a framed file: its JSON header loaded as
+    the dataclass header_cls by config.load, and the arrays of the shapes
+    listed by shapes(header), in file order.
 
-    config.load rejects unknown keys, missing fields and mistyped values.
-    decode calls take(shape) once per array, in file order; take reads the
-    array straight from the file. The payload must be exactly the arrays
-    taken, and every value in it finite. Any KeyError, TypeError or
-    ValueError raised while loading the header or decoding becomes a
-    FormatError naming the file.
+    config.load rejects unknown keys, missing fields and mistyped values, and
+    any KeyError, TypeError or ValueError it raises becomes a FormatError
+    naming the file, as does a wrong magic, a short file, a non-finite value
+    or a byte after the last array. Each length is checked against the
+    file's size before it is read, and each array is read straight into a
+    new array of its own.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -52,7 +55,16 @@ def read_framed(path, magic: bytes, header_cls, decode):
             room(count)
             return fh.read(count)
 
-        def take(shape) -> np.ndarray:
+        if need(len(magic)) != magic:
+            raise FormatError(f"{path}: not a {magic.decode()} file (bad magic)")
+        (hlen,) = struct.unpack("<I", need(4))
+        blob = need(hlen)
+        try:
+            header = config.load(header_cls, json.loads(blob.decode("utf-8")))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: bad header: {type(exc).__name__}: {exc}") from None
+        arrays = []
+        for shape in shapes(header):
             if not all(type(d) is int and d >= 0 for d in shape):
                 raise FormatError(f"{path}: bad array shape {shape!r}")
             room(8 * math.prod(shape))
@@ -61,18 +73,7 @@ def read_framed(path, magic: bytes, header_cls, decode):
             # min and max are NaN or infinite when any value is, and copy nothing
             if array.size and not (np.isfinite(array.min()) and np.isfinite(array.max())):
                 raise FormatError(f"{path}: non-finite value in the payload")
-            return array
-
-        if need(len(magic)) != magic:
-            raise FormatError(f"{path}: not a {magic.decode()} file (bad magic)")
-        (hlen,) = struct.unpack("<I", need(4))
-        try:
-            header = config.load(header_cls, json.loads(need(hlen).decode("utf-8")))
-            result = decode(header, take)
-        except FormatError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: bad header: {type(exc).__name__}: {exc}") from None
+            arrays.append(array)
         if fh.tell() != size:
             raise FormatError(f"{path}: {size - fh.tell()} bytes after the payload")
-    return result
+    return header, arrays

@@ -69,6 +69,7 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
+        config.check_integers(self)
         if len(self.attack_grid) == 0:
             raise ValueError("attack_grid must be nonempty")
         if not all(math.isfinite(e) and e > 0 for e in self.attack_grid):

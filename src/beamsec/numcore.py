@@ -18,7 +18,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .config import dump
+from .config import check_integers
 from .framing import read_framed, write_framed
 
 # Adam's moment decay rates and denominator offset (Kingma and Ba, arXiv:1412.6980).
@@ -105,6 +105,7 @@ class TrainConfig:
     epochs: int = 10
 
     def __post_init__(self):
+        check_integers(self)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate!r}")
         if self.batch_size < 1:
@@ -455,14 +456,12 @@ def fit(data, cfg: TrainConfig, rng) -> Tuple[MlpModel, List[float]]:
 def save_model(model: MlpModel, path) -> None:
     """Framed checkpoint (BMMLP2): the ModelSpec as JSON header, then the
     parameter vector."""
-    write_framed(path, _MAGIC, dump(model.spec), [model.params])
+    write_framed(path, _MAGIC, model.spec, [model.params])
 
 
 def load_model(path) -> MlpModel:
-    """Read a checkpoint; a malformed one raises framing.FormatError. The
-    header must have exactly the fields of ModelSpec (see read_framed)."""
-
-    def decode(spec, take):
-        return MlpModel(spec, take((spec.size,)))
-
-    return read_framed(path, _MAGIC, ModelSpec, decode)
+    """Read a checkpoint, a ModelSpec header then spec.size parameters; a
+    malformed one, or a header without exactly ModelSpec's fields, raises
+    framing.FormatError."""
+    spec, (params,) = read_framed(path, _MAGIC, ModelSpec, lambda s: [(s.size,)])
+    return MlpModel(spec, params)

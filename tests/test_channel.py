@@ -501,6 +501,17 @@ def test_dataset_file_round_trip(tmp_path, tiny_scenario):
     assert back.norm_meta.label_max == ds.norm_meta.label_max
     assert back.adversarial is False and back.epsilon is None
 
+    # what was loaded saves to the same bytes, an attacked dataset's
+    # adversarial flag and epsilon included
+    attacked = tmp_path / "attacked.bin"
+    save_dataset(replace(ds, adversarial=True, epsilon=0.05), attacked)
+    for original in (path, attacked):
+        again = tmp_path / "again.bin"
+        save_dataset(load_dataset(original), again)
+        assert again.read_bytes() == original.read_bytes()
+    back = load_dataset(attacked)
+    assert back.adversarial is True and back.epsilon == 0.05
+
     # identical params produce identical bytes on disk
     path2 = tmp_path / "data2.bin"
     save_dataset(build_dataset(tiny_scenario, 50), path2)
@@ -630,3 +641,10 @@ def test_scenario_params_validation():
         replace(default_scenario(), num_antennas=0)
     with pytest.raises(ValueError):
         replace(default_scenario(), walls=((1.0, 1.0, 1.0, 1.0),))
+    # the integer rule of config.load, also for params built directly
+    ints = ("num_bs", "num_antennas", "num_subcarriers", "max_reflections",
+            "codebook_oversampling", "seed")
+    for field in ints:
+        for value in (4.5, float("nan"), True):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                replace(default_scenario(), **{field: value})

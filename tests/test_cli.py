@@ -347,6 +347,41 @@ def test_second_output_onto_out_exits_2(runner, tmp_path, monkeypatch, args, bui
     assert not (tmp_path / out).exists()
 
 
+@pytest.mark.parametrize(
+    "args, flags",
+    [
+        (["train", "--data", "IN", "--out", "IN"], "--out and --data"),
+        (["attack", "--model", "m.bin", "--data", "IN", "--eps", "0.1", "--out", "IN"],
+         "--out and --data"),
+        (["attack", "--model", "IN", "--data", "d.bin", "--eps", "0.1", "--out", "IN"],
+         "--out and --model"),
+        (["defend", "--data", "IN", "--out", "IN"], "--out and --data"),
+        (["defend", "--data", "IN", "--out", "o.bin", "--history", "IN"], "--history and --data"),
+        (["generate", "--config", "IN", "--out", "IN"], "--out and --config"),
+    ],
+    ids=["train_data", "attack_data", "attack_model", "defend_data", "defend_history_data",
+         "generate_config"],
+)
+def test_output_onto_input_exits_2(runner, tmp_path, monkeypatch, tiny_config_path, args, flags):
+    """An output file naming an input of the same command, here by another
+    spelling of its path, is refused, so the input keeps every byte."""
+    monkeypatch.chdir(tmp_path)
+    save_dataset(build_dataset(make_tiny_scenario(seed=5), 50), tmp_path / "d.bin")
+    numcore.save_model(numcore.init_model(8, 0), tmp_path / "m.bin")
+    first = args.index("IN")
+    source = {"--data": "d.bin", "--model": "m.bin", "--config": tiny_config_path}
+    original = (tmp_path / source[args[first - 1]]).read_bytes()
+    (tmp_path / "in.bin").write_bytes(original)
+    argv = [*args[:first], "in.bin", *args[first + 1 :]]
+    argv[argv.index("IN")] = str(tmp_path / "in.bin")
+    if args[0] in ("train", "defend"):
+        argv += ["--config", str(tiny_config_path)]
+    result = runner.invoke(cli.main, argv)
+    assert result.exit_code == 2, result.output
+    assert f"{flags} name the same file" in result.output
+    assert (tmp_path / "in.bin").read_bytes() == original
+
+
 def test_grid_point_near_bs_exits_2(runner, tmp_path):
     """The default grid moved to start at x = 0.05 holds a point 0.05 m from
     the BS; generate refuses it even where its 10 instances do not sample it."""
@@ -455,6 +490,7 @@ DATASET_HEADER_EDITS = {
     [
         "dataset_cut_by_5_bytes",
         "dataset_plus_8_bytes",
+        "dataset_header_past_end",
         "model_as_data",
         "dataset_as_model",
         "model_bmmlp1",
@@ -515,6 +551,11 @@ def test_malformed_artifact_exits_3(runner, tmp_path, case):
         new = json.dumps(header, sort_keys=True).encode("utf-8")
         bad.write_bytes(blob[:5] + struct.pack("<I", len(new)) + new + blob[9 + hlen :])
         argv = ["train", "--data", str(bad), "--out", out]
+    elif case == "dataset_header_past_end":
+        # a header length one byte longer than the rest of the file
+        blob = data.read_bytes()
+        bad.write_bytes(blob[:5] + struct.pack("<I", len(blob) - 8) + blob[9:])
+        argv = ["train", "--data", str(bad), "--out", out]
     else:
         blob = data.read_bytes()
         bad.write_bytes(blob[:-5] if case == "dataset_cut_by_5_bytes" else blob + bytes(8))
@@ -529,6 +570,9 @@ def test_malformed_artifact_exits_3(runner, tmp_path, case):
     assert re.search(r"format error: .*(bad|data|model)\.bin", result.output)
     if case == "model_bmmlp1":
         assert "bad magic" in result.output
+    if case == "dataset_header_past_end":
+        assert "file is shorter than its framing declares" in result.output
+        assert "bad header" not in result.output
     if case in NON_FINITE_PAYLOADS:
         assert "bad.bin: non-finite value" in result.output
     if case in EMPTY_PAYLOADS:

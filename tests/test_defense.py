@@ -49,6 +49,9 @@ def test_defense_config_validation():
             DefenseConfig(epsilon=value)
         with pytest.raises(ValueError, match="steady_state_rel_tol"):
             DefenseConfig(steady_state_rel_tol=value)
+    for value in (2.5, float("nan"), True):
+        with pytest.raises(ValueError, match="max_rounds must be an integer"):
+            DefenseConfig(max_rounds=value)
     cfg = DefenseConfig()
     assert (cfg.max_rounds, cfg.steady_state_rel_tol) == (10, 0.01)
 

@@ -690,6 +690,10 @@ def test_experiment_config_validation(tiny_scenario):
     for count in (0, -5):
         with pytest.raises(ValueError, match="num_instances must be at least 1"):
             tiny_config(tiny_scenario, num_instances=count)
+    for field in ("repetitions", "num_instances"):
+        for value in (2.5, 100.5, float("nan"), True):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                tiny_config(tiny_scenario, **{field: value})
     # 0.9 x 3 rounds to 3 training rows, which leaves the test side empty
     with pytest.raises(ValueError, match="train_fraction of num_instances"):
         tiny_config(tiny_scenario, num_instances=3, train_fraction=0.9)

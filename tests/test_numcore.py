@@ -457,6 +457,11 @@ def test_train_config_validation():
     for rate in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=rate)
+    # the integer rule of config.load, also for a config built directly
+    for field in ("batch_size", "epochs"):
+        for value in (2.5, float("nan"), True):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                TrainConfig(**{field: value})
 
 
 # --------------------------------------------------------------------- train
@@ -545,6 +550,10 @@ def test_model_save_load_round_trip(tmp_path):
     for la, lb in zip(model.layers, loaded.layers):
         assert np.array_equal(la.weights, lb.weights)
         assert np.array_equal(la.bias, lb.bias)
+    # what was loaded saves to the same bytes
+    again = tmp_path / "again.bin"
+    numcore.save_model(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_model_load_rejects_bad_magic(tmp_path):
